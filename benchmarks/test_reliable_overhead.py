@@ -6,19 +6,16 @@ contract is that ``reliable=False`` — the default — is *off the fast
 path entirely*: the plain :class:`~repro.comm.channel.Channel` is
 constructed and the wire format is byte-identical to the pre-PR format.
 
-Two guards enforce that contract:
-
-1. **Deterministic** — a default-config run adds zero framing bytes and
-   zero extra channel invokes (asserted exactly, immune to host noise).
-2. **Wall-clock** — cycles/sec of the default path must stay within a
-   few percent of the fast-path number recorded in ``BENCH_hotloop.json``
-   (skipped when the file is missing; the strict 2% floor applies in
-   full mode only, set ``RELIABLE_BENCH_FULL=1``).
+One deterministic guard enforces that contract: a default-config run
+adds zero framing bytes and zero extra channel invokes (asserted
+exactly, immune to host noise).  What the default path costs in wall
+clock is the end-to-end benchmark's business (``benchmarks/e2e``).
 
 The reliable path itself is also measured and recorded — it *is* allowed
 to cost (CRC32 per frame, retransmit bookkeeping), and the measured
 overhead lands in ``benchmarks/results/reliable_overhead.txt`` plus
-``BENCH_reliability.json`` so tuning.md can cite it.
+``BENCH_reliability.json`` so tuning.md can cite it
+(``RELIABLE_BENCH_FULL=1`` doubles the repeats).
 
 Run with:
 ``PYTHONPATH=src python -m pytest benchmarks/test_reliable_overhead.py -q``
@@ -45,13 +42,7 @@ FULL = os.environ.get("RELIABLE_BENCH_FULL", "") not in ("", "0")
 REPEATS = 4 if FULL else 2
 E2E_CYCLES = 500_000
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-HOTLOOP_JSON = ROOT / "BENCH_hotloop.json"
 BENCH_JSON = ROOT / "BENCH_reliability.json"
-
-#: In quick mode the baseline in BENCH_hotloop.json was measured on an
-#: unknown (possibly quieter) host, so the floor is loose; full mode
-#: asserts the real "<2% overhead" contract.
-BASELINE_FLOOR = 0.98 if FULL else 0.85
 
 CONFIG_RELIABLE = CONFIG_BNSD.with_(
     name="EBINSD-R", reliability=ReliabilityConfig(reliable=True))
@@ -92,11 +83,6 @@ def _flush_results():
     BENCH_JSON.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True)
                           + "\n")
     lines = [f"reliability overhead ({_RESULTS['mode']} mode)"]
-    default = _RESULTS.get("default_path")
-    if default:
-        lines.append(
-            f"  reliable=False: {default['cycles_per_sec']:,.0f} cyc/s "
-            f"({default['vs_hotloop_baseline']} of BENCH_hotloop fast path)")
     reliable = _RESULTS.get("reliable_path")
     if reliable:
         lines.append(
@@ -143,33 +129,8 @@ def test_default_path_wire_format_unchanged():
 
 
 # ----------------------------------------------------------------------
-# 2. Wall-clock guards
+# 2. What the reliable path costs
 # ----------------------------------------------------------------------
-
-def test_default_path_holds_hotloop_throughput():
-    if not HOTLOOP_JSON.exists():
-        pytest.skip("BENCH_hotloop.json not present; run "
-                    "test_hotloop_throughput.py first")
-    hotloop = json.loads(HOTLOOP_JSON.read_text())
-    baseline = (hotloop.get("end_to_end", {})
-                .get("batch_squash_vs_baseline_config", {})
-                .get("bnsd_cycles_per_sec"))
-    if not baseline:
-        pytest.skip("no bnsd_cycles_per_sec baseline in BENCH_hotloop.json")
-    image = build("memory_churn", array_kb=32, passes=2).image
-    cps, _ = _best_of(CONFIG_BNSD, image)
-    ratio = cps / baseline
-    _RESULTS["default_path"] = {
-        "cycles_per_sec": round(cps),
-        "hotloop_baseline": baseline,
-        "vs_hotloop_baseline": f"{ratio:.3f}x",
-        "floor": BASELINE_FLOOR,
-    }
-    assert ratio >= BASELINE_FLOOR, (
-        f"reliable=False path measured {cps:,.0f} cyc/s, below "
-        f"{BASELINE_FLOOR:.0%} of the {baseline:,} cyc/s fast-path "
-        f"baseline — the reliability layer leaked onto the default path")
-
 
 def test_reliable_path_overhead_is_bounded():
     """reliable=True may cost, but CRC32+bookkeeping on an in-process

@@ -51,7 +51,6 @@ FULL = os.environ.get("SLICING_BENCH_FULL", "") not in ("", "0")
 REPEATS = 4 if FULL else 2
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = ROOT / "BENCH_slicing.json"
-HOTLOOP_JSON = ROOT / "BENCH_hotloop.json"
 
 WORKLOAD = build("memory_churn", array_kb=32, passes=2)
 PLAN = "balanced"
@@ -260,14 +259,6 @@ def test_modeled_speedup_matrix():
                 "modeled_speedup": round(serial_dt / span, 3),
             }
         matrix[f"slices={slices}"] = row
-    hotloop_ref = None
-    if HOTLOOP_JSON.exists():
-        try:
-            hotloop_ref = json.loads(HOTLOOP_JSON.read_text())[
-                "end_to_end"]["batch_squash_vs_baseline_config"][
-                "bnsd_cycles_per_sec"]
-        except (ValueError, KeyError):
-            hotloop_ref = None
     _RESULTS.update({
         "workload": "memory_churn(array_kb=32, passes=2)",
         "dut": "nutshell",
@@ -278,7 +269,6 @@ def test_modeled_speedup_matrix():
             "seconds": round(serial_dt, 4),
             "cycles_per_sec": round(cycles / serial_dt),
         },
-        "hotloop_reference_cycles_per_sec": hotloop_ref,
         "matrix": matrix,
     })
     # Degenerate cells must not model phantom speedup: one slice on one

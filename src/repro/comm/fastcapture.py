@@ -1,4 +1,4 @@
-"""Straight-to-wire capture: the hardware-side mirror of ``fast_compare``.
+"""Straight-to-wire capture: the hardware-side mirror of the byte-level compare.
 
 The legacy capture path materialises every probe hit three times: the
 monitor constructs a :class:`~repro.events.VerificationEvent`, the
@@ -20,10 +20,10 @@ diff-encoding), not host-side objects — so this tier compiles it away:
   (:meth:`~repro.comm.packing.base.Packer.append_raw`), which for the
   Batch packer serialises straight into the persistent frame buffer.
 
-Eligibility is decided once per run (:func:`fallback_reasons`), exactly
-like the drain-side ``fast_compare`` selection: any run that *needs*
-event objects — replay-window capture, obs instrumentation, armed fault
-latches or hart hooks, order-coupled fusion — keeps the legacy path, and
+Eligibility is decided once per run (:func:`fallback_reasons`), when the
+run loop binds its stages: any run that *needs* event objects —
+replay-window capture, obs instrumentation, armed fault latches or hart
+hooks, order-coupled fusion — keeps the legacy path, and
 the wire bytes are byte-identical either way (pinned by
 ``tests/test_fastcapture_equivalence.py`` the same way
 ``test_codec_equivalence.py`` pins the codecs).
@@ -79,8 +79,7 @@ def fallback_reasons(diff_config, obs_on: bool, cores) -> List[str]:
     """
     reasons: List[str] = []
     if obs_on:
-        # The instrumented hardware cycle traces and counts per-bundle
-        # event objects.
+        # The tracer spans wrap the object path's stages.
         reasons.append("obs")
     if diff_config.replay:
         # Replay buffers capture the event objects themselves.

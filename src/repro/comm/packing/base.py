@@ -250,14 +250,9 @@ class Packer:
 class Unpacker:
     """Interface: reconstruct wire items from received transfers.
 
-    ``zero_copy=True`` (default) makes unpackers return payloads as
-    ``memoryview`` slices of ``transfer.data``; ``zero_copy=False``
-    restores the copying behaviour (one owned ``bytes`` per payload) for
-    benchmarking and for consumers that outlive the transfer.
+    Payloads are ``memoryview`` slices of ``transfer.data``, valid for as
+    long as they are referenced (each transfer owns immutable ``bytes``).
     """
-
-    def __init__(self, zero_copy: bool = True) -> None:
-        self.zero_copy = zero_copy
 
     def unpack(self, transfer: Transfer) -> List[WireItem]:
         raise NotImplementedError

@@ -223,15 +223,12 @@ class BatchUnpacker(Unpacker):
 
     The parser reads each block's metadata, derives the payload offsets
     from the running length sum, and reconstructs events of the block's
-    type.  With ``zero_copy`` (default) payloads are ``memoryview``
-    slices of ``transfer.data``; otherwise each payload is one owned
-    ``bytes`` copy (a single slice — not the ``bytes(data[a:b])``
-    double copy this replaced).
+    type.  Payloads are ``memoryview`` slices of ``transfer.data``.
     """
 
     def unpack(self, transfer: Transfer) -> List[WireItem]:
         data = transfer.data
-        view = memoryview(data) if self.zero_copy else data
+        view = memoryview(data)
         offset = 0
         # The walk itself carries no per-event bounds checks (hot loop);
         # a header that crosses the end of the frame raises struct.error,

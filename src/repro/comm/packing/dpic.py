@@ -64,6 +64,4 @@ class DpicUnpacker(Unpacker):
                 f"header bytes, got {len(data)}",
                 offset=len(data), expected=ITEM_HEADER_SIZE,
                 actual=len(data))
-        if self.zero_copy:
-            data = memoryview(data)
-        return [decode_item(data, 0, payload_len)]
+        return [decode_item(memoryview(data), 0, payload_len)]

@@ -126,8 +126,7 @@ class FixedPacker(Packer):
 class FixedUnpacker(Unpacker):
     """Reads every region at its fixed offset, extracting valid slots."""
 
-    def __init__(self, layout: FixedLayout, zero_copy: bool = True) -> None:
-        super().__init__(zero_copy=zero_copy)
+    def __init__(self, layout: FixedLayout) -> None:
         self.layout = layout
 
     def unpack(self, transfer: Transfer) -> List[WireItem]:
@@ -140,7 +139,7 @@ class FixedUnpacker(Unpacker):
                 f"{layout.packet_size} bytes, got {len(data)}",
                 offset=min(len(data), layout.packet_size),
                 expected=layout.packet_size, actual=len(data))
-        view = memoryview(data) if self.zero_copy else data
+        view = memoryview(data)
         items: List[WireItem] = []
         for type_id, core_id, offset, slots in layout.regions:
             slot_size = layout.slot_size(type_id)

@@ -67,13 +67,6 @@ class DiffConfig:
     frame_size: int = 4096
     checkpoint_interval: int = 256  # slots between REF checkpoints
     replay_buffer_slots: int = 4096
-    #: Software-side hot-loop fast path: zero-copy unpacking plus
-    #: byte-level compares that skip event materialisation on match.
-    #: Semantically equivalent to the legacy event-object path (same
-    #: mismatch reports, counters and wire format); ``False`` restores
-    #: the legacy path, which the throughput benchmark uses as its
-    #: before/after baseline.
-    fast_compare: bool = True
     #: Resilient-transport settings; ``RELIABILITY_OFF`` keeps the wire
     #: format and hot path identical to the unframed transport.
     reliability: ReliabilityConfig = RELIABILITY_OFF

@@ -13,6 +13,7 @@ and measures every communication quantity the LogGP model needs.
 from __future__ import annotations
 
 import struct
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -106,6 +107,19 @@ class BoundarySeed:
     refs: Optional[List[RefModel]] = None
 
 
+#: Stream-level corruption a resilient drain converts to a structured
+#: transport error: decode failures (TransferDecodeError and FrameError
+#: are ValueErrors), short/garbage payloads (struct.error), out-of-range
+#: ids (LookupError) and ordering violations (CheckerProtocolError).
+_STREAM_ERRORS = (ValueError, struct.error, LookupError,
+                  CheckerProtocolError)
+
+
+def _unfused(events) -> List[WireItem]:
+    """The fuse stage of a pipeline without Squash: one item per event."""
+    return [WireItem.from_event(event) for event in events]
+
+
 class CoSimulation:
     """One complete DUT-vs-REF co-simulation."""
 
@@ -125,24 +139,16 @@ class CoSimulation:
         self.obs = resolve_obs(obs)
         self._obs_on = self.obs.enabled
         self._tracer = self.obs.tracer
-        self._m_events_captured = self.obs.registry.counter("capture.events")
         self.dut = DutSystem(dut_config, seed=seed, uart_input=uart_input)
         self.dut.load_image(image, base)
 
-        self.refs: List[RefModel] = []
-        self.checkers: List[Checker] = []
-        self.replay_buffers: List[ReplayBuffer] = []
-        self.replay_units: List[ReplayUnit] = []
         self.stats = RunStats()
+        self.refs: List[RefModel] = []
         for core_id in range(dut_config.num_cores):
             ref = RefModel(core_id, mmio_ranges=REF_MMIO_RANGES)
             ref.load_image(image, base)
             self.refs.append(ref)
-            self.checkers.append(Checker(ref, core_id, self.stats.counters,
-                                         obs=self.obs))
-            buffer = ReplayBuffer(diff_config.replay_buffer_slots)
-            self.replay_buffers.append(buffer)
-            self.replay_units.append(ReplayUnit(ref, buffer, core_id))
+        self._build_checking()
 
         self.fuser = self._build_fuser()
 
@@ -151,10 +157,12 @@ class CoSimulation:
         self.packer, self.unpacker = self._build_packing(diff_config.packing)
 
         reliability = diff_config.reliability
-        #: The resilient paths are taken when reliability is enabled or a
-        #: link-fault injector is installed; a plain run keeps the exact
-        #: unframed hot loop and wire format.
+        #: Reliability is enabled or a link-fault injector is installed:
+        #: the drain classifies stream corruption as a transport error and
+        #: the loop keeps recovery points.  A plain run keeps the unframed
+        #: wire format and lets stream errors propagate.
         self._resilient = bool(reliability.reliable or link is not None)
+        self._stream_errors = _STREAM_ERRORS if self._resilient else ()
         if reliability.reliable:
             self.channel: Channel = ReliableChannel(
                 nonblocking=diff_config.nonblocking, obs=self.obs,
@@ -173,17 +181,20 @@ class CoSimulation:
                                    obs=self.obs)
         self._unpacker_cache = {PACKER_IDS[diff_config.packing]:
                                 self.unpacker}
-        self._recovery_point: Optional[tuple] = None
+        #: Latest quiescent image a link failure can rewind to.
+        self._recovery_point: Optional[BoundarySeed] = None
         self._last_recovery_cycle = 0
+        #: Cycles between quiescent images taken by the loop (0 = never).
+        self._image_interval = (
+            reliability.recovery_interval
+            if self._resilient and reliability.snapshot_recovery else 0)
         self._recoveries = 0
-        self.completer = Completer()
         self.mismatch: Optional[Mismatch] = None
         self.debug_report: Optional[DebugReport] = None
         self.transport_error: Optional[TransportError] = None
         self._cycle = 0
         #: Slice-epoch bookkeeping (slicing support; inert by default).
         self._skipped_barriers = 0
-        self._on_barrier = None  # callback invoked after each barrier
         #: Window baselines: nonzero only for runs resumed from a
         #: boundary, so counters report the slice's own window.
         self._window_start_cycle = 0
@@ -195,7 +206,31 @@ class CoSimulation:
         #: Straight-to-wire capture engine; selected once per run by
         #: :meth:`_select_capture` (None = legacy event-object capture).
         self._capture: Optional[FastCaptureEngine] = None
+        #: The hardware half's stage callables (:meth:`_bind_stages`);
+        #: None until the first run selects a capture path.
+        self._dut_cycle = None
         self._attach_jit()
+
+    def _build_checking(self, slots: Optional[List[int]] = None) -> None:
+        """(Re)build the software half around the current REFs: per-core
+        checker, replay buffer and replay unit, plus a fresh completer.
+        With ``slots`` each checker resumes at its core's checked slot
+        and the REF is checkpointed there."""
+        self.checkers: List[Checker] = []
+        self.replay_buffers: List[ReplayBuffer] = []
+        self.replay_units: List[ReplayUnit] = []
+        for core_id, ref in enumerate(self.refs):
+            checker = Checker(ref, core_id, self.stats.counters,
+                              obs=self.obs)
+            buffer = ReplayBuffer(self.diff_config.replay_buffer_slots)
+            unit = ReplayUnit(ref, buffer, core_id)
+            if slots is not None:
+                checker.ref_slot = slots[core_id]
+                unit.checkpoint(slots[core_id])
+            self.checkers.append(checker)
+            self.replay_buffers.append(buffer)
+            self.replay_units.append(unit)
+        self.completer = Completer()
 
     def _attach_jit(self) -> None:
         """(Re)attach the compiled-simulation tier (:mod:`repro.isa.jit`)
@@ -231,19 +266,45 @@ class CoSimulation:
 
     def _build_packing(self, packing: str):
         """Build a (packer, unpacker) pair for one packing scheme."""
-        # The legacy (fast_compare=False) path also disables zero-copy
-        # unpacking, so benchmarks comparing the two measure the whole
-        # before/after software hot loop.
-        zero_copy = self.diff_config.fast_compare
         if packing == "batch":
-            return (BatchPacker(self.diff_config.frame_size),
-                    BatchUnpacker(zero_copy=zero_copy))
+            return BatchPacker(self.diff_config.frame_size), BatchUnpacker()
         if packing == "fixed":
             layout = FixedLayout(self._enabled_events,
                                  self.dut_config.num_cores)
-            return (FixedPacker(layout),
-                    FixedUnpacker(layout, zero_copy=zero_copy))
-        return DpicPacker(), DpicUnpacker(zero_copy=zero_copy)
+            return FixedPacker(layout), FixedUnpacker(layout)
+        return DpicPacker(), DpicUnpacker()
+
+    # ------------------------------------------------------------------
+    # Stage binding
+    # ------------------------------------------------------------------
+    def _stage(self, name: str, stage):
+        """``stage`` itself or, on an observed run, ``stage`` inside a
+        tracer span named ``name``."""
+        if not self._obs_on:
+            return stage
+        tracer = self._tracer
+        # A proxy, not ``self``: a stored stage must not tie the run (DUT
+        # and REF memory images) into a reference cycle — campaigns
+        # build hundreds of runs.
+        run = weakref.proxy(self)
+
+        def spanned(*args):
+            with tracer.span(name, cycle=run._cycle):
+                return stage(*args)
+
+        return spanned
+
+    def _bind_stages(self) -> None:
+        """Bind the hardware half's stage callables.  Called when capture
+        is selected and again after every pipeline rebuild, so the loop
+        always runs the current fuser and packer.  Only other objects'
+        methods are stored here (see :meth:`_stage` on reference cycles)."""
+        stage = self._stage
+        self._dut_cycle = stage("capture", self.dut.cycle)
+        self._fuse = (stage("fuse", self.fuser.on_cycle)
+                      if self.fuser is not None else _unfused)
+        self._pack = stage("pack", self.packer.pack_cycle)
+        self._send = stage("transfer", self.channel.send_all)
 
     # ------------------------------------------------------------------
     # Hardware side of one cycle
@@ -267,23 +328,22 @@ class CoSimulation:
                 self.stats.replay_buffer_peak = len(buffer)
 
     def _hardware_cycle(self) -> None:
-        bundles = self.dut.cycle()
-        for bundle in bundles:
+        """Event-object capture: monitors build events, the acceleration
+        unit fuses and packs them."""
+        fuse = self._fuse
+        for bundle in self._dut_cycle():
             if not bundle.events:
                 continue
             self._record_bundle(bundle)
-            if self.fuser is not None:
-                items = self.fuser.on_cycle(bundle.events)
-            else:
-                items = [WireItem.from_event(event) for event in bundle.events]
+            items = fuse(bundle.events)
             if items:
-                self.channel.send_all(self.packer.pack_cycle(items))
+                self._send(self._pack(items))
 
     def _hardware_cycle_fast(self) -> None:
         """Straight-to-wire twin of :meth:`_hardware_cycle`: the monitors
         dispatch into the capture engine's compiled emitters, which
         serialise directly into the packer — no event objects, bundles or
-        item lists.  The wire stream is byte-identical to the legacy path
+        item lists.  The wire stream is byte-identical to the object path
         (``tests/test_fastcapture_equivalence.py``)."""
         engine = self._capture
         channel = self.channel
@@ -295,8 +355,8 @@ class CoSimulation:
                 channel.send_all(transfers)
 
     def _select_capture(self) -> None:
-        """Choose the capture path once per run (the hardware-side mirror
-        of the ``fast_compare`` drain selection in :meth:`run`).
+        """Choose the capture path (once per run) and bind the loop's
+        stages to it.
 
         The fallback reasons are recorded on the run stats regardless of
         the ``fast_capture`` knob, so metric snapshots are identical with
@@ -309,13 +369,13 @@ class CoSimulation:
             self._attach_capture()
         else:
             self._detach_capture()
+        self._bind_stages()
 
     def _attach_capture(self) -> None:
         """(Re)build the capture engine against the current fuser/packer
-        and attach it to every monitor.  Also called after any pipeline
-        rebuild (recovery restore, transport degradation) — the engine
-        shares the fuser's stats and differencer, so run-wide totals
-        carry exactly as they do on the legacy path."""
+        and attach it to every monitor.  The engine shares the fuser's
+        stats and differencer, so run-wide totals carry across a rebuild
+        exactly as they do on the object path."""
         if self._capture is not None:
             self._capture.fold_stats(self.stats)
         self._capture = FastCaptureEngine(self.fuser, self.packer)
@@ -329,117 +389,68 @@ class CoSimulation:
         for core in self.dut.cores:
             core.monitor.detach_fast_capture()
 
-    def _hardware_cycle_obs(self) -> None:
-        """Traced twin of :meth:`_hardware_cycle` (same semantics, plus
-        spans around each pipeline stage); :meth:`run` selects it once
-        when observability is enabled, so the plain path stays free of
-        per-cycle instrumentation."""
-        tracer = self._tracer
-        cycle = self._cycle
-        with tracer.span("capture", cycle=cycle):
-            bundles = self.dut.cycle()
-        for bundle in bundles:
-            if not bundle.events:
-                continue
-            self._record_bundle(bundle)
-            self._m_events_captured.inc(len(bundle.events))
-            if self.fuser is not None:
-                with tracer.span("fuse", cycle=cycle):
-                    items = self.fuser.on_cycle(bundle.events)
-            else:
-                items = [WireItem.from_event(event) for event in bundle.events]
-            if items:
-                with tracer.span("pack", cycle=cycle):
-                    transfers = self.packer.pack_cycle(items)
-                with tracer.span("transfer", cycle=cycle):
-                    self.channel.send_all(transfers)
-
     def _flush_hardware(self) -> None:
+        send = self.channel.send_all
         if self._capture is not None:
-            transfers = self._capture.flush()
-            if transfers:
-                self.channel.send_all(transfers)
-            self.channel.send_all(self.packer.flush())
-            return
-        if self.fuser is not None:
+            send(self._capture.flush())
+        elif self.fuser is not None:
             items = self.fuser.flush()
             if items:
-                self.channel.send_all(self.packer.pack_cycle(items))
-        self.channel.send_all(self.packer.flush())
+                send(self.packer.pack_cycle(items))
+        send(self.packer.flush())
 
     # ------------------------------------------------------------------
     # Software side
     # ------------------------------------------------------------------
-    def _software_drain(self) -> None:
-        """Hot-loop fast path: wire items go straight to the checker's
-        byte-level compare (``process_item``); event objects are only
-        materialised on mismatch or for slot-consuming types."""
+    def _receive_items(self):
+        """The receive+unpack stage: the next transfer's wire items, None
+        when the channel is empty, :class:`LinkFailure` when it is lost."""
+        channel = self.channel
+        transfer = channel.receive()
+        if transfer is None:
+            return None
+        self.stats.counters.sw_dispatches += 1
+        if isinstance(channel, ReliableChannel):
+            # Frames carry the packing scheme they were encoded under, so
+            # frames in flight across a transport degradation still
+            # decode with the right unpacker.
+            return self._unpacker_for(channel.last_packer_id).unpack(transfer)
+        return self.unpacker.unpack(transfer)
+
+    def _drain(self) -> None:
+        """Check everything the channel holds.
+
+        Wire items go straight to the checker's byte-level compare
+        (``process_item``); event objects are only materialised on
+        mismatch or for slot-consuming types.  A :class:`LinkFailure`
+        propagates to the loop.  Stream-level corruption that slipped
+        past a resilient link becomes a structured
+        :class:`TransportError` here — never a spurious DUT mismatch; on
+        a plain channel it propagates.
+        """
         checkers = self.checkers
         completer = self.completer
         stats = self.stats
-        unpack = self.unpacker.unpack
-        receive = self.channel.receive
+        receive = self._receive_items
+        if self._obs_on:  # checked here: a plain drain skips the call
+            receive = self._stage("dispatch", receive)
         while self.mismatch is None:
-            transfer = receive()
-            if transfer is None:
-                return
-            stats.counters.sw_dispatches += 1
-            for item in unpack(transfer):
-                stats.events_transmitted += 1
-                mismatch = checkers[item.core_id].process_item(item, completer)
-                if mismatch is not None:
-                    self._on_mismatch(mismatch)
+            try:
+                items = receive()
+                if items is None:
                     return
-                self._maybe_checkpoint(item.core_id)
-
-    def _software_drain_legacy(self) -> None:
-        """The event-object software path (``fast_compare=False``): every
-        wire item is completed into an event before checking.  Kept as
-        the semantics reference and the benchmark's before-side."""
-        while self.mismatch is None:
-            transfer = self.channel.receive()
-            if transfer is None:
+                for item in items:
+                    stats.events_transmitted += 1
+                    mismatch = checkers[item.core_id].process_item(
+                        item, completer)
+                    if mismatch is not None:
+                        self._on_mismatch(mismatch)
+                        return
+                    self._maybe_checkpoint(item.core_id)
+            except self._stream_errors as exc:
+                self._set_transport_error(classify_stream_error(exc),
+                                          str(exc))
                 return
-            self.stats.counters.sw_dispatches += 1
-            for item in self.unpacker.unpack(transfer):
-                event = self.completer.complete(item)
-                self.stats.events_transmitted += 1
-                checker = self.checkers[event.core_id]
-                mismatch = checker.process(event)
-                if mismatch is not None:
-                    self._on_mismatch(mismatch)
-                    return
-                self._maybe_checkpoint(event.core_id)
-
-    def _software_drain_obs(self) -> None:
-        """Traced twin of the software drain: the dispatch span covers
-        reception and unpacking; the checker adds its own
-        ``ref_step``/``compare`` spans.  Honours ``fast_compare`` so an
-        observed run exercises the same checking path as a plain one."""
-        tracer = self._tracer
-        fast = self.diff_config.fast_compare
-        while self.mismatch is None:
-            with tracer.span("dispatch", cycle=self._cycle):
-                transfer = self.channel.receive()
-                if transfer is not None:
-                    self.stats.counters.sw_dispatches += 1
-                    items = self.unpacker.unpack(transfer)
-                    if not fast:
-                        items = [self.completer.complete(item)
-                                 for item in items]
-            if transfer is None:
-                return
-            for item in items:
-                self.stats.events_transmitted += 1
-                checker = self.checkers[item.core_id]
-                if fast:
-                    mismatch = checker.process_item(item, self.completer)
-                else:
-                    mismatch = checker.process(item)
-                if mismatch is not None:
-                    self._on_mismatch(mismatch)
-                    return
-                self._maybe_checkpoint(item.core_id)
 
     def _maybe_checkpoint(self, core_id: int) -> None:
         """Checkpoint the REF when a checking window closed cleanly.
@@ -463,67 +474,13 @@ class CoSimulation:
             self.debug_report = unit.replay(mismatch)
 
     # ------------------------------------------------------------------
-    # Resilient transport: guarded drain, degradation, snapshot recovery
+    # Resilient transport: degradation, snapshot recovery
     # ------------------------------------------------------------------
-    #: Stream-level corruption a resilient drain converts to a
-    #: structured transport error: decode failures (TransferDecodeError
-    #: and FrameError are ValueErrors), short/garbage payloads
-    #: (struct.error), out-of-range ids (LookupError) and ordering
-    #: violations (CheckerProtocolError).
-    _STREAM_ERRORS = (ValueError, struct.error, LookupError,
-                      CheckerProtocolError)
-
     def _set_transport_error(self, kind: str, detail: str,
                              seq: Optional[int] = None) -> None:
         if self.transport_error is None:
             self.transport_error = TransportError(
                 kind=kind, detail=detail, seq=seq, cycle=self._cycle)
-
-    def _drain_resilient(self) -> None:
-        """Software drain with transport-error classification.
-
-        Link-level failures (:class:`LinkFailure`) propagate to the run
-        loop, which decides between snapshot recovery, degradation and a
-        terminal transport error.  Stream-level corruption that slipped
-        past the link (decode errors, protocol violations, garbage
-        payloads) becomes a structured :class:`TransportError` here —
-        never a spurious DUT mismatch.
-        """
-        checkers = self.checkers
-        completer = self.completer
-        stats = self.stats
-        channel = self.channel
-        fast = self.diff_config.fast_compare
-        framed = isinstance(channel, ReliableChannel)
-        while self.mismatch is None:
-            transfer = channel.receive()  # may raise LinkFailure
-            if transfer is None:
-                return
-            stats.counters.sw_dispatches += 1
-            try:
-                if framed:
-                    # Frames carry the packing scheme they were encoded
-                    # under, so frames in flight across a transport
-                    # degradation still decode with the right unpacker.
-                    unpacker = self._unpacker_for(channel.last_packer_id)
-                else:
-                    unpacker = self.unpacker
-                for item in unpacker.unpack(transfer):
-                    stats.events_transmitted += 1
-                    if fast:
-                        mismatch = checkers[item.core_id].process_item(
-                            item, completer)
-                    else:
-                        event = completer.complete(item)
-                        mismatch = checkers[event.core_id].process(event)
-                    if mismatch is not None:
-                        self._on_mismatch(mismatch)
-                        return
-                    self._maybe_checkpoint(item.core_id)
-            except self._STREAM_ERRORS as exc:
-                self._set_transport_error(classify_stream_error(exc),
-                                          str(exc))
-                return
 
     def _unpacker_for(self, packer_id: int):
         unpacker = self._unpacker_cache.get(packer_id)
@@ -541,47 +498,46 @@ class CoSimulation:
                 return False
         return len(self.channel) == 0
 
-    def _take_recovery_point(self) -> None:
-        """Image DUT + REFs at a verified quiescent boundary, so an
-        unrecoverable link failure can rewind instead of killing the run."""
+    def _settle(self) -> bool:
+        """Flush the hardware half and check what it held; True when the
+        run is alive and everything produced has been checked."""
         self._flush_hardware()
-        self._drain_resilient()
-        if (self.mismatch is not None or self.transport_error is not None
-                or not self._transport_quiescent()):
-            return
-        image = take_snapshot(self.dut)
-        ref_clones = [ref.clone() for ref in self.refs]
-        slots = [checker.ref_slot for checker in self.checkers]
-        self._recovery_point = (image, ref_clones, slots)
-        self._last_recovery_cycle = self._cycle
+        self._drain()
+        return (self.mismatch is None and self.transport_error is None
+                and self._transport_quiescent())
 
-    def _maybe_recovery_point(self) -> None:
-        interval = self.diff_config.reliability.recovery_interval
-        if self._cycle - self._last_recovery_cycle >= interval:
-            self._take_recovery_point()
+    def _take_recovery_point(self) -> bool:
+        """Image DUT + REFs at a verified quiescent boundary, so an
+        unrecoverable link failure can rewind instead of killing the run.
+        False (previous image kept) when the cycle is not quiescent."""
+        if not self._settle():
+            return False
+        self._recovery_point = BoundarySeed(
+            snapshot=take_snapshot(self.dut),
+            slots=[checker.ref_slot for checker in self.checkers],
+            refs=[ref.clone() for ref in self.refs])
+        self._last_recovery_cycle = self._cycle
+        return True
+
+    def _rewind(self, seed: BoundarySeed) -> None:
+        """Put DUT, REFs and the software half at a quiescent image.  The
+        seed's REFs are re-cloned, so one image survives repeated
+        restores; ``refs=None`` reconstructs them from the DUT image."""
+        restore_snapshot(self.dut, seed.snapshot)
+        if seed.refs is not None:
+            self.refs = [ref.clone() for ref in seed.refs]
+        else:
+            self.refs = [self._reconstruct_ref(core)
+                         for core in self.dut.cores]
+        self._build_checking(seed.slots)
+        self._cycle = seed.snapshot.cycle_taken
+        self._last_recovery_cycle = self._cycle
+        self._attach_jit()
 
     def _restore_recovery_point(self) -> None:
-        """Rewind DUT, REFs and the whole checking pipeline to the latest
-        recovery point, and resynchronise the link."""
-        image, ref_clones, slots = self._recovery_point
-        restore_snapshot(self.dut, image)
-        # The stored clones stay pristine: each restore re-clones them so
-        # the same recovery point survives repeated restores.
-        self.refs = [clone.clone() for clone in ref_clones]
-        self.checkers = []
-        self.replay_buffers = []
-        self.replay_units = []
-        for core_id, (ref, slot) in enumerate(zip(self.refs, slots)):
-            checker = Checker(ref, core_id, self.stats.counters,
-                              obs=self.obs)
-            checker.ref_slot = slot
-            self.checkers.append(checker)
-            buffer = ReplayBuffer(self.diff_config.replay_buffer_slots)
-            self.replay_buffers.append(buffer)
-            unit = ReplayUnit(ref, buffer, core_id)
-            unit.checkpoint(slot)
-            self.replay_units.append(unit)
-        self.completer = Completer()
+        """Rewind to the latest recovery point, rebuild the hardware
+        half's fuser and packer, and resynchronise the link."""
+        self._rewind(self._recovery_point)
         old_fuser = self.fuser
         self.fuser = self._build_fuser()
         if self.fuser is not None and old_fuser is not None:
@@ -592,11 +548,8 @@ class CoSimulation:
             channel.reset_link()
         else:
             channel.drain()
-        self._cycle = image.cycle_taken
-        self._last_recovery_cycle = self._cycle
         self._recoveries += 1
         self.stats.link_recoveries += 1
-        self._attach_jit()
 
     def _rebuild_packer(self) -> None:
         """Fresh packer/unpacker for the (possibly degraded) packing;
@@ -614,11 +567,12 @@ class CoSimulation:
             # recovery restore, the rebuilt fuser — the restore rebuilds
             # the fuser before calling here).
             self._attach_capture()
+        self._bind_stages()
 
     # ------------------------------------------------------------------
     # Slice-epoch barriers and boundary resume (repro.parallel.slicing)
     # ------------------------------------------------------------------
-    def _epoch_barrier(self, drain) -> bool:
+    def _epoch_barrier(self) -> bool:
         """Make the current cycle a legal slice boundary.
 
         Flushes and drains the transport, then — if the pipeline reached
@@ -629,12 +583,9 @@ class CoSimulation:
         byte-identical stream.  Returns False (and counts the skip) when
         the barrier could not be established.
         """
-        self._flush_hardware()
-        drain()
-        if self.mismatch is not None or self.transport_error is not None:
-            return False
-        if not self._transport_quiescent():
-            self._skipped_barriers += 1
+        if not self._settle():
+            if self.mismatch is None and self.transport_error is None:
+                self._skipped_barriers += 1
             return False
         if self.fuser is not None:
             self.fuser.reset_stream()
@@ -642,8 +593,6 @@ class CoSimulation:
         for checker, unit in zip(self.checkers, self.replay_units):
             unit.checkpoint(checker.ref_slot)
             self.stats.checkpoints += 1
-        if self._on_barrier is not None:
-            self._on_barrier(self)
         return True
 
     def _reconstruct_ref(self, core) -> RefModel:
@@ -674,33 +623,10 @@ class CoSimulation:
         recovery point, and *not* counted as a checkpoint — the producing
         slice's barrier already accounted for it.
         """
-        snapshot = seed.snapshot
-        restore_snapshot(self.dut, snapshot)
-        if seed.refs is not None:
-            self.refs = [ref.clone() for ref in seed.refs]
-        else:
-            self.refs = [self._reconstruct_ref(core)
-                         for core in self.dut.cores]
-        self.checkers = []
-        self.replay_buffers = []
-        self.replay_units = []
-        for core_id, (ref, slot) in enumerate(zip(self.refs, seed.slots)):
-            checker = Checker(ref, core_id, self.stats.counters,
-                              obs=self.obs)
-            checker.ref_slot = slot
-            self.checkers.append(checker)
-            buffer = ReplayBuffer(self.diff_config.replay_buffer_slots)
-            self.replay_buffers.append(buffer)
-            unit = ReplayUnit(ref, buffer, core_id)
-            unit.checkpoint(slot)
-            self.replay_units.append(unit)
-        self.completer = Completer()
-        self._cycle = snapshot.cycle_taken
-        self._last_recovery_cycle = self._cycle
+        self._rewind(seed)
         self._window_start_cycle = self._cycle
         self._window_start_instructions = sum(
             core.retired for core in self.dut.cores)
-        self._attach_jit()
 
     def _degrade_transport(self) -> bool:
         """Step down the degradation ladder: configured packing ->
@@ -736,84 +662,80 @@ class CoSimulation:
             failures = getattr(self.channel, "consecutive_failures", 0)
             if failures >= reliability.degrade_after:
                 self._degrade_transport()
-            if self._obs_on:
-                with self._tracer.span("recovery", cycle=self._cycle):
-                    self._restore_recovery_point()
-            else:
+            with self._tracer.span("recovery", cycle=self._cycle):
                 self._restore_recovery_point()
             return
         self._set_transport_error(failure.kind, str(failure),
                                   seq=failure.seq)
 
-    def _run_resilient(self, max_cycles: int) -> RunResult:
-        """The guarded twin of :meth:`run` for resilient transports."""
-        reliability = self.diff_config.reliability
-        if reliability.snapshot_recovery and self._recovery_point is None:
+    # ------------------------------------------------------------------
+    # The loop
+    # ------------------------------------------------------------------
+    def advance(self, until: int) -> None:
+        """Drive the pipeline to cycle ``until`` — or to the program's
+        end, a mismatch or a transport error, whichever comes first.
+
+        The one per-cycle loop: hardware half, software drain, slice-epoch
+        barrier and quiescent image when due.  A :class:`LinkFailure`
+        from any step rewinds to the latest recovery point (``_cycle``
+        moves back, the loop carries on) or ends the run with a transport
+        error.  Callable repeatedly with growing targets: forward
+        boundary seeding steps it cut by cut, :meth:`run` calls it once.
+        """
+        if self._dut_cycle is None:
+            self._select_capture()
+        if (self._resilient and self._recovery_point is None
+                and self.diff_config.reliability.snapshot_recovery):
             # Cycle-0 recovery point: even a failure before the first
             # interval boundary can rewind.
             self._take_recovery_point()
         epoch = self.diff_config.slice_epoch_cycles
-        while (not self.dut.finished() and self._cycle < max_cycles
-               and self.mismatch is None and self.transport_error is None):
+        interval = self._image_interval
+        finished = self.dut.finished
+        while (self._cycle < until and self.mismatch is None
+               and self.transport_error is None and not finished()):
             self._cycle += 1
             try:
                 if self._capture is not None:
                     self._hardware_cycle_fast()
                 else:
                     self._hardware_cycle()
-                self._drain_resilient()
+                self._drain()
                 if epoch and self._cycle % epoch == 0:
-                    self._epoch_barrier(self._drain_resilient)
-                if reliability.snapshot_recovery:
-                    self._maybe_recovery_point()
+                    self._epoch_barrier()
+                if (interval and self._cycle - self._last_recovery_cycle
+                        >= interval):
+                    self._take_recovery_point()
             except LinkFailure as failure:
                 self._handle_link_failure(failure)
-        if self.mismatch is None and self.transport_error is None:
-            try:
-                self._flush_hardware()
-                self._drain_resilient()
-            except LinkFailure as failure:
-                self._handle_link_failure(failure)
-                if self.transport_error is None:
-                    try:
-                        self._flush_hardware()
-                        self._drain_resilient()
-                    except LinkFailure as second:
-                        # Recovery restored the pipeline but the final
-                        # drain still cannot complete: give up cleanly.
-                        self._set_transport_error(
-                            "recovery", f"final drain failed after "
-                            f"recovery: {second}", seq=second.seq)
-        return self._finish()
 
-    # ------------------------------------------------------------------
+    def _finish_transport(self) -> None:
+        """The loop's epilogue: check what the hardware half still holds.
+        A run that died leaves a resilient link alone; on a plain channel
+        the closing flush still counts toward the wire totals."""
+        if self.transport_error is not None or (
+                self._resilient and self.mismatch is not None):
+            return
+        try:
+            self._settle()
+        except LinkFailure as failure:
+            self._handle_link_failure(failure)
+            if self.transport_error is not None:
+                return
+            try:
+                self._settle()
+            except LinkFailure as second:
+                # Recovery restored the pipeline but the final drain
+                # still cannot complete: give up cleanly.
+                self._set_transport_error(
+                    "recovery", f"final drain failed after recovery: "
+                    f"{second}", seq=second.seq)
+
     def run(self, max_cycles: int = 1_000_000) -> RunResult:
         """Run until every core traps, a mismatch fires, or the budget ends."""
         self._select_capture()
-        if self._resilient:
-            return self._run_resilient(max_cycles)
-        # Select the traced or plain loop bodies once, so a run without
-        # observability pays nothing per cycle for the instrumentation.
-        if self._obs_on:
-            hardware_cycle = self._hardware_cycle_obs
-            software_drain = self._software_drain_obs
-        else:
-            hardware_cycle = (self._hardware_cycle_fast
-                              if self._capture is not None
-                              else self._hardware_cycle)
-            software_drain = (self._software_drain
-                              if self.diff_config.fast_compare
-                              else self._software_drain_legacy)
-        epoch = self.diff_config.slice_epoch_cycles
-        while (not self.dut.finished() and self._cycle < max_cycles
-               and self.mismatch is None):
-            self._cycle += 1
-            hardware_cycle()
-            software_drain()
-            if epoch and self._cycle % epoch == 0:
-                self._epoch_barrier(software_drain)
-        self._flush_hardware()
-        software_drain()
+        self.advance(max_cycles)
+        self._finish_transport()
         return self._finish()
 
     def _fold_jit_stats(self, registry) -> None:
@@ -873,6 +795,9 @@ class CoSimulation:
         metrics: Optional[MetricsSnapshot] = None
         if self._obs_on:
             registry = self.obs.registry
+            # A per-window instrument, not an end-of-run total: slice
+            # workers contribute it even with the final fold suppressed.
+            registry.counter("capture.events").inc(self.stats.events_captured)
             if self.record_final_metrics:
                 record_run_stats(registry, self.stats)
                 self.packer.stats.fold_into(registry)

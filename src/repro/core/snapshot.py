@@ -8,8 +8,8 @@ unfused checking (Figure 10, top).  Two layers live here:
 * :class:`SnapshotDebugger` — the pure cost model (snapshot bytes,
   re-run cycles) used by quick analyses;
 * :class:`SnapshotCoSimulation` — a fully *operational* implementation:
-  it runs a normal (fused) co-simulation, takes real
-  :func:`~repro.dut.snapshotting.take_snapshot` images at quiescent
+  it runs a normal (fused) co-simulation, keeps real
+  :func:`~repro.dut.snapshotting.take_snapshot` images of quiescent
   points, and on a mismatch restores the system and re-executes with
   per-instruction checking to localise the bug — paying the real costs
   Replay avoids.
@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..dut.snapshotting import restore_snapshot, take_snapshot
+from ..dut.snapshotting import restore_snapshot
 from .checker import Checker
-from .framework import CoSimulation, RunResult
+from .framework import BoundarySeed, CoSimulation
 from .report import DebugReport, Mismatch
 
 #: Bytes of architectural state per core (regs + CSRs + vector file).
@@ -93,9 +93,9 @@ class SnapshotDebugCosts:
 class SnapshotCoSimulation(CoSimulation):
     """A co-simulation whose debugging flow uses full snapshots.
 
-    Replay is disabled; instead the system is imaged every
-    ``snapshot_interval`` cycles (at pipeline-quiescent points), and a
-    mismatch triggers restore + re-execution with raw per-instruction
+    Replay is disabled; instead the loop's periodic quiescent image is
+    taken every ``snapshot_interval`` cycles and every image is kept, and
+    a mismatch triggers restore + re-execution with raw per-instruction
     checking.  ``costs`` records what that recovery paid, for head-to-head
     comparison with :class:`~repro.core.replay.ReplayUnit`.
     """
@@ -103,56 +103,37 @@ class SnapshotCoSimulation(CoSimulation):
     def __init__(self, *args, snapshot_interval: int = 2000, **kwargs):
         super().__init__(*args, **kwargs)
         self.diff_config = self.diff_config.with_(replay=False)
-        self.snapshot_interval = snapshot_interval
-        self._snapshots: List[tuple] = []  # (SystemSnapshot, ref clones, slots)
+        self._image_interval = snapshot_interval
+        self._snapshots: List[BoundarySeed] = []
         self._snapshot_bytes = 0
-        self._last_snapshot_cycle = 0
         self.costs: Optional[SnapshotDebugCosts] = None
 
-    # ------------------------------------------------------------------
-    def _quiescent(self) -> bool:
-        """True when every event produced so far has been checked."""
-        return self._transport_quiescent()
-
-    def _maybe_snapshot(self) -> None:
-        if self._cycle - self._last_snapshot_cycle < self.snapshot_interval:
-            return
-        # Force a window boundary so the checker can catch up fully.
-        self._flush_hardware()
-        self._software_drain()
-        if self.mismatch is not None or not self._quiescent():
-            return
-        image = take_snapshot(self.dut)
-        ref_clones = [ref.clone() for ref in self.refs]
-        slots = [checker.ref_slot for checker in self.checkers]
-        self._snapshots.append((image, ref_clones, slots))
-        self._snapshot_bytes += image.size_bytes() + sum(
+    def _take_recovery_point(self) -> bool:
+        if not super()._take_recovery_point():
+            return False
+        seed = self._recovery_point
+        self._snapshots.append(seed)
+        self._snapshot_bytes += seed.snapshot.size_bytes() + sum(
             clone.memory.allocated_bytes() + ARCH_STATE_BYTES
-            for clone in ref_clones)
-        self._last_snapshot_cycle = self._cycle
+            for clone in seed.refs)
+        return True
 
-    # ------------------------------------------------------------------
-    def run(self, max_cycles: int = 1_000_000) -> RunResult:
-        while (not self.dut.finished() and self._cycle < max_cycles
-               and self.mismatch is None):
-            self._cycle += 1
-            self._hardware_cycle()
-            self._software_drain()
-            self._maybe_snapshot()
-        self._flush_hardware()
-        self._software_drain()
-        if self.mismatch is not None and self._snapshots:
-            self.debug_report = self._recover(self.mismatch)
-        return self._finish()
+    def _on_mismatch(self, mismatch: Mismatch) -> None:
+        super()._on_mismatch(mismatch)
+        if self._snapshots:
+            self.debug_report = self._recover(mismatch)
 
     # ------------------------------------------------------------------
     def _recover(self, trigger: Mismatch) -> DebugReport:
         """Restore the newest snapshot and re-execute with raw checking."""
-        image, ref_clones, slots = self._snapshots[-1]
+        seed = self._snapshots[-1]
+        image = seed.snapshot
+        # The re-execution checks event objects, whatever the run used.
+        self._detach_capture()
         restore_snapshot(self.dut, image)
         checkers = [Checker(clone, core_id)
-                    for core_id, clone in enumerate(ref_clones)]
-        for checker, slot in zip(checkers, slots):
+                    for core_id, clone in enumerate(seed.refs)]
+        for checker, slot in zip(checkers, seed.slots):
             checker.ref_slot = slot
         localized: Optional[Mismatch] = None
         rerun_cycles = 0

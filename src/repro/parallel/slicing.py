@@ -229,58 +229,45 @@ def _reconstruct_boundaries(dut_config, image: bytes, *, seed: int,
 
 def _forward_boundaries(dut_config, config, image: bytes, *, seed: int,
                         uart_input: bytes, fault: str, trigger: int,
-                        epoch: int, cuts: List[int],
+                        cuts: List[int],
                         max_cycles: int) -> Iterator[Tuple]:
     """Yield ``(cycle, BoundarySeed)`` by forwarding a full co-simulation.
 
-    Mirrors the serial run loop exactly (barriers every ``epoch``,
-    including skips on a non-quiescent one), shipping cloned REFs in
-    each seed captured at a cut cycle.  Boundary production stops at a
-    mismatch or transport error, so slices beyond a failure never
-    exist — the failing slice reproduces it.
+    Steps the serial run loop itself from cut to cut (``config`` carries
+    the plan's ``slice_epoch_cycles``, so barriers fire — and skip on a
+    non-quiescent cycle — exactly as in the serial run), shipping cloned
+    REFs in each seed.  Boundary production stops at a mismatch or
+    transport error, so slices beyond a failure never exist — the
+    failing slice reproduces it.
     """
     from ..core.framework import BoundarySeed, CoSimulation
     from ..dut.snapshotting import take_snapshot
 
-    targets = set(cuts) - {max_cycles}
     cosim = CoSimulation(dut_config, config, image, seed=seed,
                          uart_input=uart_input)
     if fault:
         _install_fault(cosim.dut, fault, trigger)
-    if cosim._resilient:
-        drain = cosim._drain_resilient
-    elif config.fast_compare:
-        drain = cosim._software_drain
-    else:
-        drain = cosim._software_drain_legacy
-    while (not cosim.dut.finished() and cosim._cycle < max_cycles
-           and cosim.mismatch is None and cosim.transport_error is None):
-        cosim._cycle += 1
-        cosim._hardware_cycle()
-        drain()
-        if cosim._cycle % epoch == 0 and cosim._cycle < max_cycles:
-            if not cosim._epoch_barrier(drain):
-                # Failed barrier: either the run just died (stop) or the
-                # pipeline was not quiescent (serial skipped it too — no
-                # boundary here, windows merge).
-                if (cosim.mismatch is not None
-                        or cosim.transport_error is not None):
-                    return
-                continue
-            if cosim.dut.finished():
-                return
-            if cosim._cycle not in targets:
-                continue
-            refs = []
-            for ref in cosim.refs:
-                clone = ref.clone()
-                clone.hart._decode_cache = {}
-                refs.append(clone)
-            yield cosim._cycle, BoundarySeed(
-                snapshot=take_snapshot(cosim.dut).transportable(),
-                slots=[checker.ref_slot for checker in cosim.checkers],
-                refs=refs), \
-                bool(fault) and fault_pending(cosim.dut.cores[0])
+    for cut in cuts:
+        if cut >= max_cycles:
+            return
+        cosim.advance(cut)
+        if (cosim.dut.finished() or cosim.mismatch is not None
+                or cosim.transport_error is not None):
+            return
+        if not cosim._transport_quiescent():
+            # The barrier at this cut was skipped (serial skipped it
+            # too): no boundary here, the windows merge.
+            continue
+        refs = []
+        for ref in cosim.refs:
+            clone = ref.clone()
+            clone.hart._decode_cache = {}
+            refs.append(clone)
+        yield cut, BoundarySeed(
+            snapshot=take_snapshot(cosim.dut).transportable(),
+            slots=[checker.ref_slot for checker in cosim.checkers],
+            refs=refs), \
+            bool(fault) and fault_pending(cosim.dut.cores[0])
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +310,7 @@ def iter_slice_specs(dut_config, diff_config, image: bytes, *,
                   trigger=trigger, cuts=cuts, max_cycles=max_cycles)
     if mode == "forward":
         boundaries = _forward_boundaries(dut_config, config, image,
-                                         epoch=epoch, **common)
+                                         **common)
     else:
         boundaries = _reconstruct_boundaries(dut_config, image, **common)
 

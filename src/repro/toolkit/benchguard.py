@@ -12,8 +12,8 @@ gated — they track the host machine, not the code.  Cross-trajectory
 reference ratios (``ratio_vs_*``, a fresh number divided by a figure
 committed on another day) are excluded for the same reason.
 
-Gated trajectories today: ``BENCH_hotloop.json`` (codec/ladder),
-``BENCH_jit.json`` (compiled-simulation tier), ``BENCH_capture.json``
+Gated trajectories today: ``BENCH_jit.json`` (compiled-simulation
+tier), ``BENCH_capture.json``
 (straight-to-wire capture tier: ``capture_speedup`` plus the end-to-end
 fast-on/off ratios), ``BENCH_reliability.json``, ``BENCH_slicing.json``
 and ``BENCH_service.json`` — any new ``BENCH_*.json`` with ``speedup``

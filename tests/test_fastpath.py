@@ -1,25 +1,31 @@
 """The byte-compare fast path and zero-copy frames (PR 4).
 
-``fast_compare=True`` (the default) lets the software side compare
-received payload bytes directly against the REF-side expected encoding
-and only materialise event objects on mismatch, NDEs or replay capture;
-unpackers hand out ``memoryview`` payloads into the transfer buffer.
-These tests pin that the fast path is *observationally identical* to the
-event-object path (``fast_compare=False``): same counters on passing
-runs, same mismatch on fault-injected runs, and that zero-copy payload
-views survive arbitrarily many later frames.
+The software drain compares received payload bytes directly against the
+REF-side expected encoding and only materialises event objects on
+mismatch, NDEs or replay capture; unpackers hand out ``memoryview``
+payloads into the transfer buffer.  These tests pin that the fast path is
+*observationally identical* to the object-level reference — every
+transfer of a wire-tapped run replayed through ``unpack`` →
+``Completer.complete`` → ``Checker.process`` on a fresh REF: same
+counters on passing runs, same mismatch on fault-injected runs — and
+that zero-copy payload views survive arbitrarily many later frames.
 """
 
 import random
 
 import pytest
 
+from repro.comm.fusion.differencing import Completer
+from repro.comm.packing import BatchUnpacker, DpicUnpacker
 from repro.comm.packing.base import WireItem
-from repro.comm.packing.batch import BatchPacker, BatchUnpacker
+from repro.comm.packing.batch import BatchPacker
 from repro.core import CONFIG_BNSD, CONFIG_Z, CoSimulation
+from repro.core.checker import Checker
+from repro.core.framework import REF_MMIO_RANGES
 from repro.dut import XIANGSHAN_DEFAULT, fault_by_name
 from repro.events import all_event_classes
 from repro.isa import assemble
+from repro.ref.model import RefModel
 
 # Every written register is live, so any single-write corruption
 # propagates to architectural state (same program as test_replay).
@@ -39,60 +45,86 @@ loop:
     ebreak
 """
 
-FAST = CONFIG_BNSD
-LEGACY = CONFIG_BNSD.with_(name="EBINSD-legacy", fast_compare=False)
+_UNPACKERS = {"batch": BatchUnpacker, "dpic": DpicUnpacker}
 
 
-def _run(config, fault=None, trigger=300):
+def _run_tapped(config, fault=None, trigger=300):
+    """A default run with every transfer it sent recorded."""
     cosim = CoSimulation(XIANGSHAN_DEFAULT, config, assemble(WORKLOAD))
     if fault is not None:
         fault_by_name(fault).install(cosim.dut.cores[0], trigger)
-    return cosim.run(max_cycles=60_000)
+    wire = []
+    send_all = cosim.channel.send_all
+
+    def tap(transfers):
+        wire.extend(transfers)
+        return send_all(transfers)
+
+    cosim.channel.send_all = tap
+    return cosim.run(max_cycles=60_000), wire
 
 
-def _observable(result):
-    c = result.stats.counters
-    return (result.cycles, result.instructions, result.exit_code,
-            c.bytes_sent, c.invokes, c.sw_events_checked, c.sw_ref_steps,
-            c.sw_dispatches, result.stats.events_captured,
-            result.stats.events_transmitted, result.stats.meta_bytes,
-            result.stats.checkpoints, result.uart_output)
+def _reference_check(config, wire):
+    """The object-level reference: every item completed into an event
+    and checked field by field on a fresh REF.  Returns the checker's
+    counters, the items consumed and the first mismatch."""
+    ref = RefModel(0, mmio_ranges=REF_MMIO_RANGES)
+    ref.load_image(assemble(WORKLOAD))
+    checker = Checker(ref, 0)
+    completer = Completer()
+    unpacker = _UNPACKERS[config.packing]()
+    transmitted = 0
+    for transfer in wire:
+        checker.counters.sw_dispatches += 1
+        for item in unpacker.unpack(transfer):
+            transmitted += 1
+            mismatch = checker.process(completer.complete(item))
+            if mismatch is not None:
+                return checker.counters, transmitted, mismatch
+    return checker.counters, transmitted, None
+
+
+def _software_work(counters, transmitted):
+    return (counters.sw_dispatches, counters.sw_events_checked,
+            counters.sw_bytes_checked, counters.sw_ref_steps, transmitted)
+
+
+def _mismatch_key(mismatch):
+    return (mismatch.core_id, mismatch.slot, type(mismatch.event).__name__,
+            mismatch.field_name, mismatch.expected, mismatch.actual)
 
 
 class TestFastCompareEquivalence:
+    @staticmethod
+    def _assert_passing_run_matches_reference(config):
+        fast, wire = _run_tapped(config)
+        counters, transmitted, mismatch = _reference_check(config, wire)
+        assert fast.passed and mismatch is None
+        assert (_software_work(fast.stats.counters,
+                               fast.stats.events_transmitted)
+                == _software_work(counters, transmitted))
+        assert counters.sw_events_checked > 0
+
     def test_passing_run_identical_counters(self):
-        fast = _run(FAST)
-        legacy = _run(LEGACY)
-        assert fast.passed and legacy.passed
-        assert _observable(fast) == _observable(legacy)
-        assert fast.stats.counters.sw_events_checked > 0
+        self._assert_passing_run_matches_reference(CONFIG_BNSD)
 
     @pytest.mark.parametrize("fault", [
         "control_flow_wdata", "store_queue_mismatch", "sbuffer_lost_bytes",
     ])
     def test_fault_detected_identically(self, fault):
-        fast = _run(FAST, fault=fault)
-        legacy = _run(LEGACY, fault=fault)
-        assert fast.mismatch is not None and legacy.mismatch is not None
-        for result in (fast, legacy):
-            # The fast path materialises the event object on divergence:
-            # the report must be as rich as the legacy one.
-            assert result.mismatch.event is not None
-            assert result.debug_report is not None
-        assert ((fast.mismatch.core_id, fast.mismatch.slot,
-                 type(fast.mismatch.event).__name__,
-                 fast.mismatch.field_name, fast.mismatch.expected,
-                 fast.mismatch.actual)
-                == (legacy.mismatch.core_id, legacy.mismatch.slot,
-                    type(legacy.mismatch.event).__name__,
-                    legacy.mismatch.field_name, legacy.mismatch.expected,
-                    legacy.mismatch.actual))
+        fast, wire = _run_tapped(CONFIG_BNSD, fault=fault)
+        _counters, transmitted, reference = _reference_check(CONFIG_BNSD,
+                                                             wire)
+        assert fast.mismatch is not None and reference is not None
+        # The fast path materialises the event object on divergence: the
+        # report must be as rich as the object-level one.
+        assert fast.mismatch.event is not None
+        assert fast.debug_report is not None
+        assert _mismatch_key(fast.mismatch) == _mismatch_key(reference)
+        assert fast.stats.events_transmitted == transmitted
 
     def test_baseline_config_also_equivalent(self):
-        fast = _run(CONFIG_Z)
-        legacy = _run(CONFIG_Z.with_(name="Z-legacy", fast_compare=False))
-        assert fast.passed and legacy.passed
-        assert _observable(fast) == _observable(legacy)
+        self._assert_passing_run_matches_reference(CONFIG_Z)
 
 
 def _random_items(count, seed):
@@ -126,16 +158,3 @@ class TestZeroCopyLifetime:
             # The view still decodes into a well-formed event.
             event = item.to_event()
             assert event.encode_payload() == expected
-
-    def test_zero_copy_off_returns_owned_bytes(self):
-        items = _random_items(8, seed=99)
-        packer = BatchPacker(frame_size=4096)
-        transfers = packer.pack_cycle(items) + packer.flush()
-        copying = BatchUnpacker(zero_copy=False)
-        viewing = BatchUnpacker()
-        for transfer in transfers:
-            owned = copying.unpack(transfer)
-            views = viewing.unpack(transfer)
-            assert [type(i.payload) for i in owned] == [bytes] * len(owned)
-            # memoryview compares by content, so the items are equal.
-            assert owned == views

@@ -170,3 +170,47 @@ class TestSeedStability:
                       max_cycles=60_000, seed=5)
         assert a.stats.counters.bytes_sent == b.stats.counters.bytes_sent
         assert a.cycles == b.cycles
+
+
+def test_one_run_loop():
+    """The per-cycle loop is spelled once: a single site in ``src/``
+    advances ``_cycle``, and the forks it replaced stay deleted."""
+    import pathlib
+
+    import repro
+    from repro.core import CoSimulation
+
+    source = pathlib.Path(repro.__file__).parent
+    sites = [f"{path.relative_to(source)}:{number}"
+             for path in sorted(source.rglob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if "_cycle += 1" in line]
+    assert len(sites) == 1, sites
+    assert sites[0].startswith("core/framework.py:"), sites
+    for name in ("_run_resilient", "_hardware_cycle_obs",
+                 "_software_drain_legacy", "_software_drain_obs",
+                 "_drain_resilient"):
+        assert not hasattr(CoSimulation, name), name
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "obs"])
+def test_finished_run_is_freed_by_reference_counting(small_image, observed):
+    """A co-simulation holds DUT and REF memory images and campaigns
+    build hundreds of them, so it must not sit in a reference cycle
+    waiting for the cycle collector (peak RSS of a fuzz campaign)."""
+    import gc
+    import weakref
+
+    from repro.core import CoSimulation
+    from repro.obs import ObsContext
+
+    gc.disable()
+    try:
+        cosim = CoSimulation(XIANGSHAN_DEFAULT, CONFIG_BNSD, small_image,
+                             obs=ObsContext() if observed else None)
+        assert cosim.run(60_000).passed
+        alive = weakref.ref(cosim)
+        del cosim
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.core import CONFIG_BNSD, run_cosim
+from repro.core import CONFIG_BNSD, ReliabilityConfig, run_cosim
 from repro.dut import XIANGSHAN_DEFAULT
 from repro.obs import (
     NULL_OBS,
@@ -261,8 +261,18 @@ class TestExport:
 # Framework integration
 # ----------------------------------------------------------------------
 class TestFrameworkIntegration:
-    def test_snapshot_matches_stats(self, instrumented_run):
-        _obs, result = instrumented_run
+    @pytest.mark.parametrize("reliable", [False, True],
+                             ids=["plain", "reliable"])
+    def test_snapshot_matches_stats(self, small_image, reliable):
+        """A resilient transport is observed exactly like the plain one:
+        same capture counter, same pipeline spans."""
+        obs = ObsContext()
+        config = CONFIG_BNSD.with_(
+            reliability=ReliabilityConfig(reliable=reliable))
+        result = run_cosim(XIANGSHAN_DEFAULT, config, small_image,
+                           max_cycles=60_000, obs=obs)
+        assert result.passed
+        assert PIPELINE_PHASES <= set(obs.tracer.aggregate())
         snap = result.metrics
         stats = result.stats
         assert snap.value("run.cycles") == stats.counters.cycles
