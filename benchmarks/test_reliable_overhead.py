@@ -13,8 +13,7 @@ clock is the end-to-end benchmark's business (``benchmarks/e2e``).
 
 The reliable path itself is also measured and recorded — it *is* allowed
 to cost (CRC32 per frame, retransmit bookkeeping), and the measured
-overhead lands in ``benchmarks/results/reliable_overhead.txt`` plus
-``BENCH_reliability.json`` so tuning.md can cite it
+overhead lands in ``benchmarks/results/reliable_overhead.txt``
 (``RELIABLE_BENCH_FULL=1`` doubles the repeats).
 
 Run with:
@@ -23,9 +22,7 @@ Run with:
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 import pytest
@@ -41,8 +38,6 @@ pytestmark = pytest.mark.bench
 FULL = os.environ.get("RELIABLE_BENCH_FULL", "") not in ("", "0")
 REPEATS = 4 if FULL else 2
 E2E_CYCLES = 500_000
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH_JSON = ROOT / "BENCH_reliability.json"
 
 CONFIG_RELIABLE = CONFIG_BNSD.with_(
     name="EBINSD-R", reliability=ReliabilityConfig(reliable=True))
@@ -54,8 +49,6 @@ CONFIG_RELIABLE_NOSNAP = CONFIG_BNSD.with_(
     name="EBINSD-Rn",
     reliability=ReliabilityConfig(reliable=True, snapshot_recovery=False))
 
-_RESULTS: dict = {}
-
 
 def _timed_run(config, image):
     cosim = CoSimulation(XIANGSHAN_DEFAULT, config, image)
@@ -63,39 +56,12 @@ def _timed_run(config, image):
     result = cosim.run(E2E_CYCLES)
     dt = time.perf_counter() - t0
     assert result.passed
-    return result.cycles / dt, result
+    return result.cycles / dt
 
 
 def _best_of(config, image, repeats=REPEATS):
     _timed_run(config, image)  # warm-up
-    best_cps, result = 0.0, None
-    for _ in range(repeats):
-        cps, run = _timed_run(config, image)
-        if cps > best_cps:
-            best_cps, result = cps, run
-    return best_cps, result
-
-
-def _flush_results():
-    if not _RESULTS:
-        return
-    _RESULTS["mode"] = "full" if FULL else "quick"
-    BENCH_JSON.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True)
-                          + "\n")
-    lines = [f"reliability overhead ({_RESULTS['mode']} mode)"]
-    reliable = _RESULTS.get("reliable_path")
-    if reliable:
-        lines.append(
-            f"  reliable=True:  {reliable['cycles_per_sec']:,.0f} cyc/s "
-            f"= {reliable['overhead_pct']:.1f}% overhead, "
-            f"+{reliable['framing_bytes_per_invoke']} B/invoke framing")
-    write_result("reliable_overhead", "\n".join(lines))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _persist_results():
-    yield
-    _flush_results()
+    return max(_timed_run(config, image) for _ in range(repeats))
 
 
 # ----------------------------------------------------------------------
@@ -136,17 +102,14 @@ def test_reliable_path_overhead_is_bounded():
     """reliable=True may cost, but CRC32+bookkeeping on an in-process
     queue must stay modest; both sides measured back-to-back here."""
     image = build("memory_churn", array_kb=32, passes=2).image
-    plain_cps, plain = _best_of(CONFIG_BNSD, image)
-    reliable_cps, reliable = _best_of(CONFIG_RELIABLE, image)
+    plain_cps = _best_of(CONFIG_BNSD, image)
+    reliable_cps = _best_of(CONFIG_RELIABLE, image)
     overhead = (plain_cps - reliable_cps) / plain_cps * 100.0
-    invokes = reliable.stats.counters.invokes
-    _RESULTS["reliable_path"] = {
-        "cycles_per_sec": round(reliable_cps),
-        "plain_cycles_per_sec": round(plain_cps),
-        "overhead_pct": round(overhead, 2),
-        "framing_bytes_per_invoke": HEADER_SIZE,
-        "invokes": invokes,
-    }
+    write_result("reliable_overhead", "\n".join([
+        f"reliability overhead ({'full' if FULL else 'quick'} mode)",
+        f"  reliable=True:  {reliable_cps:,.0f} cyc/s "
+        f"= {overhead:.1f}% overhead, "
+        f"+{HEADER_SIZE} B/invoke framing"]))
     # Generous bound: the reliable path does strictly more work, but a
     # CRC over ~100-byte frames must not halve throughput.
     assert reliable_cps >= plain_cps * 0.5, (plain_cps, reliable_cps)

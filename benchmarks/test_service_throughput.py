@@ -4,8 +4,8 @@ Verification-as-a-service only pays off if the control plane stays out
 of the way: accepting a submission must cost milliseconds (it is one
 durable SQLite insert plus a fingerprint hash), and a cache hit must
 return a finished campaign's report orders of magnitude faster than
-re-running it.  This bench records both into ``BENCH_service.json``
-(repo root) plus ``benchmarks/results/service_throughput.txt``:
+re-running it.  This bench records both into
+``benchmarks/results/service_throughput.txt``:
 
 * **store ingest** — distinct submissions/sec into the WAL-mode queue
   (fingerprint + INSERT per call), and dedup lookups/sec for repeat
@@ -16,8 +16,6 @@ re-running it.  This bench records both into ``BENCH_service.json``
 """
 
 import asyncio
-import json
-import pathlib
 import statistics
 import time
 
@@ -32,9 +30,6 @@ from repro.service import (
 )
 
 pytestmark = [pytest.mark.bench, pytest.mark.service]
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH_JSON = ROOT / "BENCH_service.json"
 
 INGEST_COUNT = 200
 CACHE_HIT_SAMPLES = 30
@@ -92,8 +87,6 @@ def test_service_throughput(tmp_path):
     results["cache_hit_median_ms"] = hit_ms
     results["cache_hit_speedup"] = first_run_s / (hit_ms / 1e3)
 
-    BENCH_JSON.write_text(json.dumps(results, indent=2, sort_keys=True)
-                          + "\n")
     text = "\n".join([
         "Campaign service throughput",
         f"  queue ingest   : "

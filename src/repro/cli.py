@@ -137,13 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="enable the compiled-simulation tier "
                           "(superblock trace cache; byte-identical "
                           "events, counters and report)")
-    run.add_argument("--jit-warmup", type=int, default=None,
-                     help="invocations of an entry PC before its block "
-                          "is compiled (default 16; implies --jit)")
-    run.add_argument("--no-fast-capture", action="store_true",
-                     help="disable the straight-to-wire capture tier "
-                          "(compiled emit->encode->pack; wire bytes are "
-                          "byte-identical either way)")
     _add_obs_flags(run)
 
     profile = sub.add_parser(
@@ -309,16 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def _apply_jit_flags(config, args):
-    """Apply ``--jit`` / ``--jit-warmup`` / ``--no-fast-capture`` to a
-    DiffConfig."""
-    warmup = getattr(args, "jit_warmup", None)
-    if warmup is not None:
-        config = config.with_(jit=True, jit_warmup=warmup)
-    elif getattr(args, "jit", False):
-        config = config.with_(jit=True)
-    if getattr(args, "no_fast_capture", False):
-        config = config.with_(fast_capture=False)
-    return config
+    """Apply ``--jit`` to a DiffConfig."""
+    return config.with_(jit=True) if args.jit else config
 
 
 def _cmd_run(args) -> int:

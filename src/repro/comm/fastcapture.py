@@ -8,14 +8,13 @@ payload bytes once more.  None of that materialisation is *semantically*
 required — DiffTest-H's contract is about the wire (order tags, fusion,
 diff-encoding), not host-side objects — so this tier compiles it away:
 
-* each event class's exec-compiled ``_CAPTURE_UNITS`` (generated next to
-  the PR 4 codecs in :mod:`repro.events.base`) turns the monitor's raw
-  keyword arguments into the flat unit tuple;
-* a per-(class, core) *emitter* closure re-expresses the Squash fusion
-  rules and the XOR differencing chain over those raw tuples, sharing the
-  fuser's :class:`~repro.comm.fusion.squash.FusionStats` and the
-  differencer's counters and prior cache so every run-level statistic is
-  identical to the object path;
+* a per-(class, core) exec-compiled *emitter* takes the monitor's raw
+  keyword arguments as its parameters, builds the flat unit tuple inline
+  and re-expresses the Squash fusion rules and the XOR differencing
+  chain over those raw tuples, sharing the fuser's
+  :class:`~repro.comm.fusion.squash.FusionStats` and the differencer's
+  counters and prior cache so every run-level statistic is identical to
+  the object path;
 * encoded payloads go through the packer's append-raw entry point
   (:meth:`~repro.comm.packing.base.Packer.append_raw`), which for the
   Batch packer serialises straight into the persistent frame buffer.
@@ -32,12 +31,10 @@ the wire bytes are byte-identical either way (pinned by
 from __future__ import annotations
 
 import struct
-from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..events import FusionRule, InstrCommit, LoadEvent, TrapFinish, \
     all_event_classes
-from ..events.base import generic_capture_units
 from .fusion.differencing import _UNIT_PACKERS
 from .fusion.squash import OrderCoupledFuser
 from .packing.base import ENC_DIFF
@@ -73,9 +70,7 @@ def fallback_reasons(diff_config, obs_on: bool, cores) -> List[str]:
     """Why this run must keep the event-object capture path.
 
     Returns a list drawn from :data:`FALLBACK_REASONS`, empty when the
-    straight-to-wire tier is eligible.  Deliberately independent of the
-    ``fast_capture`` knob itself: the reasons describe the *run*, so
-    metric snapshots stay identical whether the knob is on or off.
+    straight-to-wire tier is eligible.
     """
     reasons: List[str] = []
     if obs_on:
@@ -104,19 +99,11 @@ def _flat_index(cls, name: str) -> int:
     raise KeyError(f"{cls.__name__} has no field {name!r}")
 
 
-def _capture_fn(cls):
-    compiled = getattr(cls, "_CAPTURE_UNITS", None)
-    if compiled is not None:
-        return compiled
-    return partial(generic_capture_units, cls)
-
-
 def _emit_signature(cls, namespace: dict):
     """Parameter list, array-coercion lines and unit-tuple expression for
     an exec-generated emitter whose keyword parameters *are* the class's
-    field names (same defaults and validation as the compiled
-    ``_CAPTURE_UNITS``, but fused into the emitter so each emission costs
-    a single call with no intermediate kwargs hop)."""
+    field names (scalars default to 0, array fields to zeros and are
+    length-checked), so each emission costs a single call."""
     params = []
     coerce = []
     parts = []
@@ -342,34 +329,6 @@ class FastCaptureEngine:
                 "    else:",
                 "        _passthrough.append((_encode, tag, $UNITS))",
             ], ns)
-        if "is_nde" in cls.__dict__:
-            # Unknown instance-level NDE predicate: materialise the event
-            # to evaluate it (behavioural reference), then route like the
-            # fuser would.  No registered class takes this path today.
-            rule = desc.fusion_rule
-            passthrough = self._passthrough
-            capture = _capture_fn(cls)
-
-            def emit(tag, **fields):
-                cell[0] += 1
-                fstats.events_in += 1
-                units = capture(**fields)
-                event = cls.from_units(list(units), core_id=core_id,
-                                       order_tag=tag)
-                if event.is_nde():
-                    fstats.nde_sent_ahead += 1
-                    encode(tag, units)
-                elif rule is FusionRule.KEEP_LATEST:
-                    self._latest[(desc.event_id, core_id)] = \
-                        (encode, tag, units)
-                elif rule is FusionRule.ACCUMULATE:
-                    addr_idx = _flat_index(cls, "addr")
-                    self._accumulated[(desc.event_id, core_id,
-                                       units[addr_idx])] = \
-                        (encode, tag, units)
-                else:
-                    passthrough.append((encode, tag, units))
-            return emit
         rule = desc.fusion_rule
         if rule is FusionRule.KEEP_LATEST:
             ns.update(_latest=self._latest,

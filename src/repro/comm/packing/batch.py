@@ -212,11 +212,6 @@ class BatchPacker(Packer):
     def pending_bytes(self) -> int:
         return self._pos - FRAME_HEADER_SIZE
 
-    @property
-    def _frame_bytes(self) -> int:
-        # Back-compat alias for the pre-rewrite internal counter.
-        return self._pos
-
 
 class BatchUnpacker(Unpacker):
     """Meta-guided dynamic unpacking (Figure 6, right).

@@ -84,16 +84,6 @@ class DiffConfig:
     #: and reports are byte-identical with it on or off; any armed fault,
     #: trap, interrupt or translation window falls back to the interpreter.
     jit: bool = False
-    #: Times an entry PC must be seen before its superblock is compiled.
-    jit_warmup: int = 16
-    #: Capture-side straight-to-wire fast path (:mod:`repro.comm.fastcapture`):
-    #: compiled per-event-class emitters serialise the monitor's raw field
-    #: values directly into the packer with no event objects on the hot
-    #: loop.  Semantically equivalent to the legacy object path — wire
-    #: bytes, counters and reports are byte-identical with it on or off;
-    #: runs that need event objects (replay capture, obs instrumentation,
-    #: armed faults, order-coupled fusion) fall back automatically.
-    fast_capture: bool = True
 
     def with_(self, **changes) -> "DiffConfig":
         return replace(self, **changes)

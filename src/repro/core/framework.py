@@ -245,15 +245,14 @@ class CoSimulation:
         self._jit_caches = []
         if not self.diff_config.jit:
             return
-        warmup = self.diff_config.jit_warmup
         for core in self.dut.cores:
             if core.jit is None:
-                core.jit = TraceCache(core.bus, "dut", warmup=warmup)
+                core.jit = TraceCache(core.bus, "dut")
             self._jit_caches.append(core.jit)
         for ref in self.refs:
             hart = ref.hart
             if hart.jit is None:
-                hart.jit = TraceCache(hart.bus, "ref", warmup=warmup)
+                hart.jit = TraceCache(hart.bus, "ref")
             self._jit_caches.append(hart.jit)
 
     def _build_fuser(self):
@@ -356,16 +355,12 @@ class CoSimulation:
 
     def _select_capture(self) -> None:
         """Choose the capture path (once per run) and bind the loop's
-        stages to it.
-
-        The fallback reasons are recorded on the run stats regardless of
-        the ``fast_capture`` knob, so metric snapshots are identical with
-        the knob on or off.
-        """
+        stages to it: straight-to-wire unless the run needs event objects
+        (the reasons are recorded on the run stats)."""
         reasons = fallback_reasons(self.diff_config, self._obs_on,
                                    self.dut.cores)
         self.stats.capture_fallbacks = tuple(reasons)
-        if self.diff_config.fast_capture and not reasons:
+        if not reasons:
             self._attach_capture()
         else:
             self._detach_capture()

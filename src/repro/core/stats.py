@@ -65,10 +65,8 @@ class RunStats:
     #: Snapshot restores the resilient transport performed to survive
     #: unrecoverable link failures.
     link_recoveries: int = 0
-    #: Why the straight-to-wire capture tier was (or would have been)
-    #: ineligible for this run — e.g. ("obs", "replay").  Computed
-    #: independently of the ``fast_capture`` knob so metric snapshots are
-    #: identical with the knob on or off; empty for an eligible run.
+    #: Why the straight-to-wire capture tier was ineligible for this
+    #: run — e.g. ("obs", "replay"); empty for an eligible run.
     capture_fallbacks: tuple = ()
 
     @property

@@ -196,33 +196,6 @@ def generic_from_units(cls: Type["VerificationEvent"], units: List[int],
     return event
 
 
-def generic_capture_units(cls: Type["VerificationEvent"],
-                          **fields: object) -> Tuple[int, ...]:
-    """Interpreted keyword→unit-tuple flattening (no event object).
-
-    The straight-to-wire capture path turns a monitor's raw keyword
-    arguments directly into the flat unit tuple that ``_STRUCT.pack``
-    and the differencer consume — equivalent to
-    ``cls(**fields)._flatten()`` without materialising the event.
-    """
-    flat: List[int] = []
-    for spec in cls.FIELDS:
-        if spec.count == 1:
-            flat.append(fields.pop(spec.name, 0))
-        else:
-            value = tuple(fields.pop(spec.name, (0,) * spec.count))
-            if len(value) != spec.count:
-                raise ValueError(
-                    f"{cls.__name__}.{spec.name} expects "
-                    f"{spec.count} elements, got {len(value)}"
-                )
-            flat.extend(value)
-    if fields:
-        unknown = ", ".join(sorted(fields))
-        raise TypeError(f"unknown fields for {cls.__name__}: {unknown}")
-    return tuple(flat)
-
-
 # ----------------------------------------------------------------------
 # Codec compilation
 # ----------------------------------------------------------------------
@@ -343,38 +316,7 @@ def _compile_codecs(cls: Type["VerificationEvent"]) -> None:
     from_units.__doc__ = VerificationEvent.from_units.__func__.__doc__
     cls.from_units = classmethod(from_units)
 
-    # --- capture_units (straight-to-wire capture) ----------------------
-    # kwargs -> flat unit tuple, with the same defaults and validation as
-    # the compiled __init__, but no event object.  The fast-capture tier
-    # binds these per (class, core) so Monitor._emit call sites feed the
-    # differencer/packer directly.
-    params = []
-    body = []
-    parts = []
-    for spec in fields:
-        name = spec.name
-        if spec.count == 1:
-            params.append(f"{name}=0")
-            parts.append(name)
-        else:
-            params.append(f"{name}=_default_{name}")
-            body.append(f"    if type({name}) is not tuple:")
-            body.append(f"        {name} = tuple({name})")
-            body.append(f"    if len({name}) != {spec.count}:")
-            body.append("        raise ValueError(")
-            body.append(f"            \"{cls.__name__}.{name} expects \"")
-            body.append(f"            f\"{spec.count} elements, "
-                        f"got {{len({name})}}\")")
-            parts.append(f"*{name}")
-    body.append(f"    return ({', '.join(parts)},)" if parts
-                else "    return ()")
-    source = (f"def capture_units({', '.join(params)}):\n"
-              + "\n".join(body))
-    capture = _compile_function(source, "capture_units", namespace)
-    capture.__doc__ = generic_capture_units.__doc__
-    cls._CAPTURE_UNITS = staticmethod(capture)
-
-    for func in (cls.__init__, flatten, encode, capture):
+    for func in (cls.__init__, flatten, encode):
         func.__qualname__ = f"{cls.__name__}.{func.__name__}"
 
 
@@ -419,9 +361,6 @@ class VerificationEvent(metaclass=_EventMeta):
     _STRUCT: ClassVar[struct.Struct]
     _FLAT_NAMES: ClassVar[Tuple[Tuple[str, int], ...]]
     _UNIT_SIZES: ClassVar[Tuple[int, ...]] = ()
-    #: Compiled kwargs→unit-tuple flattener (``None`` until codecs are
-    #: compiled; see :func:`generic_capture_units` for the specification).
-    _CAPTURE_UNITS: ClassVar[Optional[object]] = None
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)

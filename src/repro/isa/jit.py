@@ -7,8 +7,8 @@ workloads (loop bodies), all of that work is invariant: the same
 instructions execute at the same PCs with only register values changing.
 
 :class:`TraceCache` exploits this exactly like PR 4's exec-generated
-event codecs: once an entry PC has been executed ``warmup`` times, the
-straight-line run of instructions starting there (terminated at the
+event codecs: once an entry PC has been seen more than ``warmup`` times,
+the straight-line run of instructions starting there (terminated at the
 first branch/jump, trap-capable instruction or page boundary — a
 *superblock*) is compiled, via ``exec``, into specialised Python code
 with
@@ -72,7 +72,9 @@ from .memory import Bus
 #: Upper bound on superblock length (instructions).
 MAX_BLOCK = 32
 
-#: Default invocation count of an entry PC before it is compiled.
+#: Sightings of an entry PC that stay interpreted: ``_warm`` compiles on
+#: sighting ``DEFAULT_WARMUP + 1`` (the 17th).  Read when a
+#: :class:`TraceCache` is built without an explicit ``warmup``.
 DEFAULT_WARMUP = 16
 
 #: Upper bound on live compiled blocks per trace cache.
@@ -156,14 +158,14 @@ class CompiledBlock:
 class TraceCache:
     """Detect -> compile -> dispatch -> invalidate, for one hart."""
 
-    def __init__(self, bus: Bus, mode: str, warmup: int = DEFAULT_WARMUP,
+    def __init__(self, bus: Bus, mode: str, warmup: Optional[int] = None,
                  max_blocks: int = DEFAULT_MAX_BLOCKS) -> None:
         if mode not in ("dut", "ref"):
             raise ValueError(f"unknown trace-cache mode {mode!r}")
         self.bus = bus
         self.memory = bus.memory
         self.mode = mode
-        self.warmup = warmup
+        self.warmup = DEFAULT_WARMUP if warmup is None else warmup
         self.max_blocks = max_blocks
         self.stats = JitStats()
         #: entry pc -> CompiledBlock
@@ -249,12 +251,6 @@ class TraceCache:
                 if self.pc_map.get(pc) is block:
                     del self.pc_map[pc]
         self.stats.evictions += 1
-
-    def flush(self) -> None:
-        """Drop every compiled block (snapshot boundary)."""
-        self.blocks.clear()
-        self.pc_map.clear()
-        self._counts.clear()
 
     # ------------------------------------------------------------------
     # Detection: trace a superblock

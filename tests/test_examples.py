@@ -21,9 +21,6 @@ EXPECT = {
     "trace_workflow.py": ["top event types", "what-if fusion",
                           "trace-driven checking: PASSED"],
     "mini_os_boot.py": ["clean shutdown", "optimisation ladder"],
-    "fast_capture.py": ["straight-to-wire capture", "tier engaged",
-                        "capture.fallback.obs",
-                        "byte-identical with the tier on and off"],
     "profile_run.py": ["instrumented run", "slowest stage:",
                        "Chrome trace", "metrics JSONL"],
     "sliced_run.py": ["per-slice windows", "stitched counters",

@@ -1,16 +1,17 @@
 """Straight-to-wire capture must be byte-identical to the object path.
 
-The contract of :mod:`repro.comm.fastcapture` is *invisibility*: with
-``fast_capture=True`` the monitors serialise raw field values directly
-into the packer — no ``VerificationEvent``, no ``WireItem`` — and the
-resulting wire stream, counters, reports and metric snapshots must match
-the legacy event-object path bit for bit.  Every test compares a fast
-run/stream against a freshly executed legacy reference, in the style of
-``test_jit_equivalence.py``.
+The contract of :mod:`repro.comm.fastcapture` is *invisibility*: on an
+eligible run the monitors serialise raw field values directly into the
+packer — no ``VerificationEvent``, no ``WireItem`` — and the resulting
+wire stream, counters and reports must match the event-object path bit
+for bit.  Every test compares a fast run/stream against a freshly
+executed object-path reference, in the style of
+``test_jit_equivalence.py``; for whole runs the reference is the same
+run with the replay window on (the supported ``"replay"`` fallback).
 
 Coverage map:
 
-* per-class compiled ``capture_units`` vs ``_flatten`` on event objects;
+* per-class emitter unit tuples vs ``_flatten`` on event objects;
 * synthetic event streams for all 32 classes through the capture engine
   vs the legacy fuser+packer pipeline, under ENC_FULL and ENC_DIFF, for
   all three packers, with shared-counter equality;
@@ -18,13 +19,13 @@ Coverage map:
 * end-to-end co-simulations (all ladder configs, multi-core, restricted
   event sets) with a wire tap asserting frame-level byte identity;
 * fallback triggers: replay capture, obs instrumentation, armed faults,
-  order-coupled fusion — each recorded in ``capture_fallbacks`` and
-  knob-independent;
+  order-coupled fusion — each recorded in ``capture_fallbacks``;
 * fast x JIT x slicing stitched identity;
 * the monitor enable-memo staleness regression (config reassignment
   between runs must invalidate the per-class cache).
 """
 
+import dataclasses
 import random
 import struct
 
@@ -58,7 +59,6 @@ from repro.events import (
     InstrCommit,
     LoadEvent,
     all_event_classes,
-    generic_capture_units,
 )
 from repro.isa import assemble
 from repro.isa.const import DRAM_BASE
@@ -107,41 +107,7 @@ def _random_kwargs(cls, rng):
 
 
 # ----------------------------------------------------------------------
-# Compiled capture_units vs object flattening
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("cls", all_event_classes(),
-                         ids=lambda c: c.__name__)
-def test_capture_units_matches_flatten(cls):
-    rng = random.Random(SEED ^ cls.DESCRIPTOR.event_id)
-    for _ in range(5):
-        kwargs = _random_kwargs(cls, rng)
-        units = cls._CAPTURE_UNITS(**kwargs)
-        event = cls(core_id=1, order_tag=7, **kwargs)
-        assert list(units) == list(event._flatten())
-        assert units == generic_capture_units(cls, **kwargs)
-        # The units round-trip through the struct like the object encoding.
-        assert cls._STRUCT.pack(*units) == event.encode_payload()
-
-
-def test_capture_units_rejects_unknown_and_short_fields():
-    with pytest.raises(TypeError):
-        InstrCommit._CAPTURE_UNITS(pc=4, bogus=1)
-    array_cls = next(cls for cls in all_event_classes()
-                     if any(spec.count > 1 for spec in cls.FIELDS))
-    spec = next(spec for spec in array_cls.FIELDS if spec.count > 1)
-    with pytest.raises(ValueError):
-        array_cls._CAPTURE_UNITS(**{spec.name: (1, 2)})
-
-
-def test_capture_units_defaults_match_default_event():
-    for cls in all_event_classes():
-        event = cls(core_id=0, order_tag=0)
-        assert list(cls._CAPTURE_UNITS()) == list(event._flatten())
-
-
-# ----------------------------------------------------------------------
-# Synthetic streams: engine vs legacy fuser+packer, per class
+# Emitter unit tuples vs object flattening
 # ----------------------------------------------------------------------
 
 class _MonitorShim:
@@ -151,6 +117,60 @@ class _MonitorShim:
         self.config = config
         self.core_id = core_id
 
+
+class _UnitRecorder:
+    """A packer that keeps the unit tuples the emitters hand it."""
+
+    def __init__(self):
+        self.units = []
+
+    def append_units(self, cls, core_id, tag, units):
+        self.units.append(units)
+
+
+def _capture_units(cls, **kwargs):
+    """The flat unit tuple ``cls``'s unfused emitter builds from raw
+    keyword arguments."""
+    recorder = _UnitRecorder()
+    table = FastCaptureEngine(None, recorder).emitter_table(
+        _MonitorShim(XIANGSHAN_DUAL, 1))
+    table[cls](7, **kwargs)
+    (units,) = recorder.units
+    return units
+
+
+@pytest.mark.parametrize("cls", all_event_classes(),
+                         ids=lambda c: c.__name__)
+def test_capture_units_matches_flatten(cls):
+    rng = random.Random(SEED ^ cls.DESCRIPTOR.event_id)
+    for _ in range(5):
+        kwargs = _random_kwargs(cls, rng)
+        units = _capture_units(cls, **kwargs)
+        event = cls(core_id=1, order_tag=7, **kwargs)
+        assert list(units) == list(event._flatten())
+        # The units round-trip through the struct like the object encoding.
+        assert cls._STRUCT.pack(*units) == event.encode_payload()
+
+
+def test_capture_units_rejects_unknown_and_short_fields():
+    with pytest.raises(TypeError):
+        _capture_units(InstrCommit, pc=4, bogus=1)
+    array_cls = next(cls for cls in all_event_classes()
+                     if any(spec.count > 1 for spec in cls.FIELDS))
+    spec = next(spec for spec in array_cls.FIELDS if spec.count > 1)
+    with pytest.raises(ValueError):
+        _capture_units(array_cls, **{spec.name: (1, 2)})
+
+
+def test_capture_units_defaults_match_default_event():
+    for cls in all_event_classes():
+        event = cls(core_id=0, order_tag=0)
+        assert list(_capture_units(cls)) == list(event._flatten())
+
+
+# ----------------------------------------------------------------------
+# Synthetic streams: engine vs legacy fuser+packer, per class
+# ----------------------------------------------------------------------
 
 def _make_packer(name, cores=2):
     if name == "batch":
@@ -319,7 +339,7 @@ def test_nde_routing_matches_is_nde_predicates():
         for _ in range(8):
             kwargs = _random_kwargs(cls, rng)
             event = cls(core_id=0, order_tag=0, **kwargs)
-            units = cls._CAPTURE_UNITS(**kwargs)
+            units = event._flatten()
             if cls is InstrCommit:
                 inline = bool(units[4] & FLAG_SKIP)
             elif cls is LoadEvent:
@@ -395,31 +415,48 @@ def _run_tapped(config, dut=XIANGSHAN_DEFAULT, source=WORKLOAD, image=None,
     return result, wire, cosim
 
 
-def _assert_identical(fast, legacy):
-    assert render_report(fast.stats) == render_report(legacy.stats)
-    assert fast.summarize() == legacy.summarize()
-    assert fast.exit_code == legacy.exit_code
-    assert fast.uart_output == legacy.uart_output
-    assert fast.stats.capture_fallbacks == legacy.stats.capture_fallbacks
+def _reference(config):
+    """The object-path twin of a fast-eligible config: the replay window
+    pins capture to event objects and changes nothing on the wire."""
+    return config.with_(replay=True)
+
+
+def _assert_stats_identical(fast, reference):
+    """Counters, profile, fusion/packing stats and the rendered report —
+    everything but ``replay_buffer_peak`` and ``capture_fallbacks``,
+    which belong to the replay setting, not to capture."""
+    assert fast.capture_fallbacks == ()
+    assert reference.capture_fallbacks == ("replay",)
+    aligned = dataclasses.replace(
+        reference, replay_buffer_peak=fast.replay_buffer_peak,
+        capture_fallbacks=fast.capture_fallbacks)
+    assert fast == aligned
+    assert render_report(fast) == render_report(aligned)
+
+
+def _assert_identical(fast, reference):
+    _assert_stats_identical(fast.stats, reference.stats)
+    # On a mismatching run only the reference has a Replay debug report.
+    assert fast.summarize() == dataclasses.replace(
+        reference.summarize(), debug_report_text=None)
 
 
 @pytest.mark.parametrize("config", LADDER, ids=lambda c: c.name)
 def test_run_wire_identity_all_ladder_configs(config):
     cfg = config.with_(replay=False)
     fast, fast_wire, cosim = _run_tapped(cfg)
-    legacy, legacy_wire, _ = _run_tapped(cfg.with_(fast_capture=False))
+    legacy, legacy_wire, object_sim = _run_tapped(_reference(cfg))
     assert fast.passed and legacy.passed
     assert fast_wire == legacy_wire
     _assert_identical(fast, legacy)
     assert cosim._capture is not None  # the fast tier actually engaged
-    assert fast.stats.capture_fallbacks == ()
+    assert object_sim._capture is None
 
 
 def test_run_wire_identity_multicore():
     cfg = CONFIG_BNSD.with_(replay=False)
     fast, fast_wire, _ = _run_tapped(cfg, dut=XIANGSHAN_DUAL)
-    legacy, legacy_wire, _ = _run_tapped(cfg.with_(fast_capture=False),
-                                         dut=XIANGSHAN_DUAL)
+    legacy, legacy_wire, _ = _run_tapped(_reference(cfg), dut=XIANGSHAN_DUAL)
     assert fast_wire == legacy_wire
     _assert_identical(fast, legacy)
 
@@ -432,8 +469,7 @@ def test_run_wire_identity_restricted_event_set():
     fast, fast_wire, cosim = _run_tapped(cfg, dut=NUTSHELL,
                                          image=workload.image,
                                          max_cycles=4500)
-    legacy, legacy_wire, _ = _run_tapped(cfg.with_(fast_capture=False),
-                                         dut=NUTSHELL,
+    legacy, legacy_wire, _ = _run_tapped(_reference(cfg), dut=NUTSHELL,
                                          image=workload.image,
                                          max_cycles=4500)
     assert fast_wire == legacy_wire
@@ -447,63 +483,54 @@ def test_run_identity_with_stalls_and_interrupts():
     cfg = CONFIG_BNSD.with_(replay=False)
     fast, fast_wire, _ = _run_tapped(cfg, image=workload.image,
                                      max_cycles=6000)
-    legacy, legacy_wire, _ = _run_tapped(cfg.with_(fast_capture=False),
-                                         image=workload.image,
-                                         max_cycles=6000)
+    legacy, legacy_wire, _ = _run_tapped(_reference(cfg),
+                                         image=workload.image, max_cycles=6000)
     assert fast_wire == legacy_wire
     _assert_identical(fast, legacy)
 
 
 def test_mismatch_detected_identically_without_replay():
-    """A mismatching run (no replay => still fast-eligible) must produce
-    the same mismatch from the fast wire stream."""
+    """A mismatching run without replay: the armed fault forces the
+    object path, so the mismatch is the reference's by construction —
+    which is exactly the guarantee the fallback exists to give."""
     cfg = CONFIG_BNSD.with_(replay=False)
     fast, _, cosim = _run_tapped(cfg, fault="sbuffer_lost_bytes")
-    legacy, _, _ = _run_tapped(cfg.with_(fast_capture=False),
-                               fault="sbuffer_lost_bytes")
-    # The armed fault forces the object path: identical by construction,
-    # which is exactly the guarantee the fallback exists to give.
+    legacy, _, _ = _run_tapped(_reference(cfg), fault="sbuffer_lost_bytes")
     assert cosim._capture is None
     assert fast.stats.capture_fallbacks == ("faults",)
+    assert legacy.stats.capture_fallbacks == ("replay", "faults")
     assert fast.mismatch is not None and legacy.mismatch is not None
     assert fast.summarize().mismatch == legacy.summarize().mismatch
-    _assert_identical(fast, legacy)
 
 
 # ----------------------------------------------------------------------
 # Fallback triggers
 # ----------------------------------------------------------------------
 
-def test_fallback_replay():
-    cfg = CONFIG_BNSD  # replay=True by default
-    fast, fast_wire, cosim = _run_tapped(cfg)
-    legacy, legacy_wire, _ = _run_tapped(cfg.with_(fast_capture=False))
-    assert cosim._capture is None
-    assert fast.stats.capture_fallbacks == ("replay",)
-    assert fast_wire == legacy_wire
-    _assert_identical(fast, legacy)
+@pytest.mark.parametrize("replay", [True, False])
+def test_fallback_replay(replay):
+    """Capture is selected from the run: the replay window (on by
+    default) pins the object path, without it the tier attaches."""
+    result, _, cosim = _run_tapped(CONFIG_BNSD.with_(replay=replay))
+    assert result.passed
+    assert result.stats.capture_fallbacks == (("replay",) if replay else ())
+    assert (cosim._capture is None) == replay
 
 
-def test_fallback_obs_and_snapshot_knob_independence():
+def test_fallback_obs():
     cfg = CONFIG_BNSD.with_(replay=False)
     fast, _, cosim = _run_tapped(cfg, obs=ObsContext())
-    legacy, _, _ = _run_tapped(cfg.with_(fast_capture=False),
-                               obs=ObsContext())
     assert cosim._capture is None
     assert fast.stats.capture_fallbacks == ("obs",)
     assert fast.metrics.value("capture.fallback.obs") == 1
-    # Knob-independent: identical snapshots with the knob on or off.
-    assert fast.metrics.records() == legacy.metrics.records()
 
 
 def test_fallback_order_coupled():
     cfg = CONFIG_COUPLED.with_(replay=False)
-    fast, fast_wire, cosim = _run_tapped(cfg)
-    legacy, legacy_wire, _ = _run_tapped(cfg.with_(fast_capture=False))
+    fast, _, cosim = _run_tapped(cfg)
+    assert fast.passed
     assert cosim._capture is None
     assert fast.stats.capture_fallbacks == ("order_coupled",)
-    assert fast_wire == legacy_wire
-    _assert_identical(fast, legacy)
 
 
 def test_fallback_reasons_canonical_order_and_hooks():
@@ -517,22 +544,17 @@ def test_fallback_reasons_canonical_order_and_hooks():
     assert fallback_reasons(clean.diff_config, False, clean.dut.cores) == []
 
 
-def test_fallbacks_recorded_even_with_knob_off():
-    cfg = CONFIG_BNSD.with_(fast_capture=False)  # replay on, knob off
-    result, _, _ = _run_tapped(cfg)
-    assert result.stats.capture_fallbacks == ("replay",)
-
-
 # ----------------------------------------------------------------------
 # fast x JIT x slicing
 # ----------------------------------------------------------------------
 
-def test_run_identity_with_jit():
+def test_run_identity_with_jit(monkeypatch):
+    monkeypatch.setattr("repro.isa.jit.DEFAULT_WARMUP", 2)
     workload = build("memory_churn", array_kb=8, passes=1)
-    cfg = CONFIG_BNSD.with_(replay=False, jit=True, jit_warmup=2)
+    cfg = CONFIG_BNSD.with_(replay=False, jit=True)
     fast, fast_wire, cosim = _run_tapped(cfg, image=workload.image,
                                          max_cycles=4500)
-    legacy, legacy_wire, _ = _run_tapped(cfg.with_(fast_capture=False),
+    legacy, legacy_wire, _ = _run_tapped(_reference(cfg),
                                          image=workload.image,
                                          max_cycles=4500)
     assert cosim._capture is not None
@@ -541,10 +563,11 @@ def test_run_identity_with_jit():
     _assert_identical(fast, legacy)
 
 
-def test_sliced_run_identity_with_fast_capture():
+def test_sliced_run_identity_with_fast_capture(monkeypatch):
+    monkeypatch.setattr("repro.isa.jit.DEFAULT_WARMUP", 4)
     workload = build("memory_churn", array_kb=8, passes=1)
     max_cycles = 4500
-    cfg = CONFIG_BNSD.with_(replay=False, jit=True, jit_warmup=4)
+    cfg = CONFIG_BNSD.with_(replay=False, jit=True)
     serial = CoSimulation(
         NUTSHELL, cfg.with_(slice_epoch_cycles=epoch_for(max_cycles, 3)),
         workload.image, seed=2025,
@@ -563,11 +586,11 @@ def test_sliced_fast_matches_sliced_legacy():
     cfg = CONFIG_BNSD.with_(replay=False)
     fast = sliced_run(NUTSHELL, cfg, workload.image, max_cycles=4500,
                       slices=3, seed=2025, uart_input=workload.uart_input)
-    legacy = sliced_run(NUTSHELL, cfg.with_(fast_capture=False),
+    legacy = sliced_run(NUTSHELL, _reference(cfg),
                         workload.image, max_cycles=4500, slices=3,
                         seed=2025, uart_input=workload.uart_input)
     assert fast.passed and legacy.passed
-    assert render_report(fast.stats) == render_report(legacy.stats)
+    _assert_stats_identical(fast.stats, legacy.stats)
     assert fast.summary == legacy.summary
 
 

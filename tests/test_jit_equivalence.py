@@ -163,19 +163,21 @@ def family_source(family: str, seed: int, length: int = 40,
 
 
 def run_pair(image, max_cycles, config=CONFIG_BNSD, dut=NUTSHELL,
-             fault=None, trigger=0, warmup=2):
+             fault=None, trigger=0):
     """One JIT-off and one JIT-on run of the same image; returns the
-    (off, on) results and the JIT-on CoSimulation for stats access."""
+    (off, on) results and the JIT-on CoSimulation for stats access.
+    Blocks compile on their third sighting so tiny programs engage."""
     results = {}
     on_sim = None
-    for label, cfg in (("off", config),
-                       ("on", config.with_(jit=True, jit_warmup=warmup))):
-        cosim = CoSimulation(dut, cfg, image, seed=2025)
-        if fault is not None:
-            fault_by_name(fault).install(cosim.dut.cores[0], trigger)
-        results[label] = cosim.run(max_cycles)
-        if label == "on":
-            on_sim = cosim
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.isa.jit.DEFAULT_WARMUP", 2)
+        for label, cfg in (("off", config), ("on", config.with_(jit=True))):
+            cosim = CoSimulation(dut, cfg, image, seed=2025)
+            if fault is not None:
+                fault_by_name(fault).install(cosim.dut.cores[0], trigger)
+            results[label] = cosim.run(max_cycles)
+            if label == "on":
+                on_sim = cosim
     return results["off"], results["on"], on_sim
 
 
@@ -211,9 +213,10 @@ class TestOpcodeFamilyStreams:
         assert dut_cache.stats.hits > 0
         assert ref_cache.stats.steps > 0
 
-    def test_obs_counters_surface_jit_activity(self):
+    def test_obs_counters_surface_jit_activity(self, monkeypatch):
+        monkeypatch.setattr("repro.isa.jit.DEFAULT_WARMUP", 2)
         workload = build("memory_churn", array_kb=8, passes=1)
-        on = run_cosim(NUTSHELL, CONFIG_BNSD.with_(jit=True, jit_warmup=2),
+        on = run_cosim(NUTSHELL, CONFIG_BNSD.with_(jit=True),
                        workload.image, max_cycles=4500, obs=ObsContext())
         off = run_cosim(NUTSHELL, CONFIG_BNSD, workload.image,
                         max_cycles=4500, obs=ObsContext())
@@ -432,11 +435,12 @@ class TestTrapBoundaries:
 # ----------------------------------------------------------------------
 
 class TestSnapshotAndSlicing:
-    def test_dut_snapshot_restore_replays_identically(self):
+    def test_dut_snapshot_restore_replays_identically(self, monkeypatch):
         """Restoring a mid-run snapshot re-validates stale blocks via the
         epoch bump and the re-run is cycle-identical."""
+        monkeypatch.setattr("repro.isa.jit.DEFAULT_WARMUP", 2)
         workload = build("memory_churn", array_kb=8, passes=1)
-        config = CONFIG_BNSD.with_(jit=True, jit_warmup=2)
+        config = CONFIG_BNSD.with_(jit=True)
         cosim = CoSimulation(NUTSHELL, config, workload.image, seed=2025,
                              uart_input=workload.uart_input)
         dut = cosim.dut
@@ -449,10 +453,11 @@ class TestSnapshotAndSlicing:
         assert [b.events for b in first] == [b.events for b in second]
         assert [b.committed for b in first] == [b.committed for b in second]
 
-    def test_sliced_run_identity_with_jit(self):
+    def test_sliced_run_identity_with_jit(self, monkeypatch):
+        monkeypatch.setattr("repro.isa.jit.DEFAULT_WARMUP", 4)
         workload = build("memory_churn", array_kb=8, passes=1)
         max_cycles = 4500
-        config = CONFIG_BNSD.with_(jit=True, jit_warmup=4)
+        config = CONFIG_BNSD.with_(jit=True)
         serial = CoSimulation(
             NUTSHELL, config.with_(slice_epoch_cycles=epoch_for(max_cycles, 3)),
             workload.image, seed=2025,
