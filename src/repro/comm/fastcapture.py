@@ -1,6 +1,6 @@
 """Straight-to-wire capture: the hardware-side mirror of the byte-level compare.
 
-The legacy capture path materialises every probe hit three times: the
+The object capture path materialises every probe hit three times: the
 monitor constructs a :class:`~repro.events.VerificationEvent`, the
 differencer re-flattens it into units, and the fuser wraps it in a
 :class:`~repro.comm.packing.base.WireItem` before the packer copies the
@@ -8,29 +8,35 @@ payload bytes once more.  None of that materialisation is *semantically*
 required — DiffTest-H's contract is about the wire (order tags, fusion,
 diff-encoding), not host-side objects — so this tier compiles it away:
 
-* a per-(class, core) exec-compiled *emitter* takes the monitor's raw
-  keyword arguments as its parameters, builds the flat unit tuple inline
-  and re-expresses the Squash fusion rules and the XOR differencing
-  chain over those raw tuples, sharing the fuser's
+* a per-(class, core) *emitter* takes the monitor's raw keyword arguments
+  as its parameters, builds the flat unit tuple inline and re-expresses
+  the Squash fusion rules and the XOR differencing chain over those raw
+  tuples, sharing the fuser's
   :class:`~repro.comm.fusion.squash.FusionStats` and the differencer's
   counters and prior cache so every run-level statistic is identical to
   the object path;
+* with the replay window on, the emitter first appends the raw
+  ``(tag, class, units)`` record to its core's
+  :class:`~repro.core.replay.ReplayBuffer` — the unit tuple is built
+  anyway, and Replay materialises events only after a mismatch;
 * encoded payloads go through the packer's append-raw entry point
   (:meth:`~repro.comm.packing.base.Packer.append_raw`), which for the
   Batch packer serialises straight into the persistent frame buffer.
 
-Eligibility is decided once per run (:func:`fallback_reasons`), when the
-run loop binds its stages: any run that *needs* event objects —
-replay-window capture, obs instrumentation, armed fault latches or hart
-hooks, order-coupled fusion — keeps the legacy path, and
-the wire bytes are byte-identical either way (pinned by
-``tests/test_fastcapture_equivalence.py`` the same way
+Emitter source is ``exec``-compiled once per process
+(:func:`emitter_factory`); a run only binds closures over its own cells,
+priors and buffers.  Eligibility is decided when the run loop binds its
+stages (:func:`fallback_reasons`): a run that *needs* event objects — obs
+instrumentation, armed fault latches or hart hooks, order-coupled fusion
+— keeps the object path, and the wire bytes are byte-identical either
+way (pinned by ``tests/test_fastcapture_equivalence.py`` the same way
 ``test_codec_equivalence.py`` pins the codecs).
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
 from ..events import FusionRule, InstrCommit, LoadEvent, TrapFinish, \
@@ -41,7 +47,7 @@ from .packing.base import ENC_DIFF
 
 #: Canonical fallback-reason order (stable across runs and slices, so
 #: sliced-window unions reproduce the serial tuple exactly).
-FALLBACK_REASONS = ("obs", "replay", "faults", "order_coupled")
+FALLBACK_REASONS = ("obs", "faults", "order_coupled")
 
 
 def _core_needs_objects(core) -> bool:
@@ -51,15 +57,11 @@ def _core_needs_objects(core) -> bool:
     and reg-write/store/trap hooks observe materialised state)."""
     if getattr(core, "_fault_latch", None) is not None:
         return True
-    monitor = core.monitor
     # Instance-level monitor overrides (probe-corruption faults wrap
     # ``_emit``; CSR-corruption faults wrap ``end_of_cycle_state``) must
-    # keep the object path even if they forgot to arm a latch.  The fast
-    # dispatcher itself is ours and does not count.
-    override = monitor.__dict__.get("_emit")
-    if override is not None and override != monitor._emit_fast:
-        return True
-    if "end_of_cycle_state" in monitor.__dict__:
+    # keep the object path even if they forgot to arm a latch.
+    overrides = core.monitor.__dict__
+    if "_emit" in overrides or "end_of_cycle_state" in overrides:
         return True
     hooks = core.hart.hooks
     return (hooks.on_reg_write is not None or hooks.on_store is not None
@@ -76,9 +78,6 @@ def fallback_reasons(diff_config, obs_on: bool, cores) -> List[str]:
     if obs_on:
         # The tracer spans wrap the object path's stages.
         reasons.append("obs")
-    if diff_config.replay:
-        # Replay buffers capture the event objects themselves.
-        reasons.append("replay")
     if any(_core_needs_objects(core) for core in cores):
         reasons.append("faults")
     if diff_config.squash and diff_config.order_coupled:
@@ -89,20 +88,94 @@ def fallback_reasons(diff_config, obs_on: bool, cores) -> List[str]:
     return reasons
 
 
-def _flat_index(cls, name: str) -> int:
-    """Index of scalar field ``name`` in the class's flat unit order."""
-    index = 0
-    for field_name, count in cls._FLAT_NAMES:
-        if field_name == name:
-            return index
-        index += count
-    raise KeyError(f"{cls.__name__} has no field {name!r}")
+#: Emitter variant -> (names its body captures besides ``_cell`` and
+#: ``_encode``, body lines).  Each body re-expresses what
+#: ``SquashFuser.on_cycle`` does for that kind of class; it reads the
+#: class's fields (``flags``, ``mmio``, ``addr``) as plain locals, and
+#: ``$UNITS`` expands to the flat unit tuple.
+_VARIANTS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    # No fusion: every event is transmitted full, in order.
+    "unfused": ((), (
+        "_cell[0] += 1",
+        "_encode(tag, $UNITS)",
+    )),
+    # Flat order is (pc, instr, wdata, rd, flags, fused_count); the
+    # window record keeps everything but fused_count, which the flush
+    # patches in from the run length.
+    "commit": (("_fstats", "_fused", "_counts", "_window", "_flush_box",
+                "_core"), (
+        "_cell[0] += 1",
+        "_fstats.events_in += 1",
+        "if flags & 8:",  # events.FLAG_SKIP
+        "    # MMIO-skip commit: an NDE, transmitted ahead",
+        "    # with its tag; fusion continues across the gap.",
+        "    _fstats.nde_sent_ahead += 1",
+        "    _encode(tag, $UNITS)",
+        "    return",
+        "_fstats.commits_in += 1",
+        "rec = _fused.get(_core)",
+        "if rec is None:",
+        "    _fused[_core] = [tag, pc, instr, wdata, rd, flags]",
+        "    _counts[_core] = 1",
+        "else:",
+        "    rec[0] = tag",
+        "    rec[1] = pc",
+        "    rec[2] = instr",
+        "    rec[3] = wdata",
+        "    rec[4] = rd",
+        "    rec[5] = flags",
+        "    _counts[_core] += 1",
+        "if _counts[_core] >= _window:",
+        "    _flush_box[0] = True",
+    )),
+    # Statically non-deterministic: always transmitted ahead.
+    "nde": (("_fstats",), (
+        "_cell[0] += 1",
+        "_fstats.events_in += 1",
+        "_fstats.nde_sent_ahead += 1",
+        "_encode(tag, $UNITS)",
+    )),
+    "load": (("_fstats", "_passthrough"), (
+        "_cell[0] += 1",
+        "_fstats.events_in += 1",
+        "if mmio:",
+        "    _fstats.nde_sent_ahead += 1",
+        "    _encode(tag, $UNITS)",
+        "else:",
+        "    _passthrough.append((_encode, tag, $UNITS))",
+    )),
+    "keep_latest": (("_fstats", "_latest", "_key"), (
+        "_cell[0] += 1",
+        "_fstats.events_in += 1",
+        "_latest[_key] = (_encode, tag, $UNITS)",
+    )),
+    # Every ACCUMULATE class keys on a scalar ``addr`` field.
+    "accumulate": (("_fstats", "_accumulated", "_eid", "_core"), (
+        "_cell[0] += 1",
+        "_fstats.events_in += 1",
+        "_accumulated[(_eid, _core, addr)] = (_encode, tag, $UNITS)",
+    )),
+    "trap": (("_fstats", "_flush"), (
+        "_cell[0] += 1",
+        "_fstats.events_in += 1",
+        "# End of simulation: drain the window, then the trap.",
+        "_flush()",
+        "_encode(tag, $UNITS)",
+    )),
+    # PASS_THROUGH (also COLLAPSE types that are not InstrCommit,
+    # mirroring the fuser's isinstance guard).
+    "passthrough": (("_fstats", "_passthrough"), (
+        "_cell[0] += 1",
+        "_fstats.events_in += 1",
+        "_passthrough.append((_encode, tag, $UNITS))",
+    )),
+}
 
 
 def _emit_signature(cls, namespace: dict):
     """Parameter list, array-coercion lines and unit-tuple expression for
-    an exec-generated emitter whose keyword parameters *are* the class's
-    field names (scalars default to 0, array fields to zeros and are
+    a generated emitter whose keyword parameters *are* the class's field
+    names (scalars default to 0, array fields to zeros and are
     length-checked), so each emission costs a single call."""
     params = []
     coerce = []
@@ -116,12 +189,12 @@ def _emit_signature(cls, namespace: dict):
             default = f"_default_{name}"
             namespace[default] = (0,) * spec.count
             params.append(f"{name}={default}")
-            coerce.append(f"    if type({name}) is not tuple:")
-            coerce.append(f"        {name} = tuple({name})")
-            coerce.append(f"    if len({name}) != {spec.count}:")
-            coerce.append("        raise ValueError(")
-            coerce.append(f"            \"{cls.__name__}.{name} expects \"")
-            coerce.append(f"            f\"{spec.count} elements, "
+            coerce.append(f"if type({name}) is not tuple:")
+            coerce.append(f"    {name} = tuple({name})")
+            coerce.append(f"if len({name}) != {spec.count}:")
+            coerce.append("    raise ValueError(")
+            coerce.append(f"        \"{cls.__name__}.{name} expects \"")
+            coerce.append(f"        f\"{spec.count} elements, "
                           f"got {{len({name})}}\")")
             parts.append(f"*{name}")
     if len(cls.FIELDS) == 1 and cls.FIELDS[0].count > 1:
@@ -135,16 +208,36 @@ def _emit_signature(cls, namespace: dict):
     return ", ".join(params), coerce, units
 
 
-def _compile_emit(cls, body: list, namespace: dict) -> Callable:
-    """``exec`` one emitter; ``$UNITS`` in the body expands to the flat
-    unit-tuple expression built from the named parameters."""
-    params, coerce, units = _emit_signature(cls, namespace)
-    lines = [line.replace("$UNITS", units) for line in body]
-    source = f"def emit(tag, {params}):\n" + "\n".join(coerce + lines)
+@lru_cache(maxsize=None)
+def emitter_factory(cls, variant: str, replay: bool) -> Callable:
+    """``make(_cell, _encode, ...) -> emit(tag, **fields)`` for one event
+    class: the one place emitter source is compiled, once per process.
+
+    A run binds its own state by calling ``make`` (hundreds of campaign
+    jobs share the compiled code, never a cell, prior or buffer).  With
+    ``replay`` the emitter first appends the raw record to ``_record``
+    (the core's replay-buffer append); without it the body carries no
+    extra line at all.
+    """
+    captured, body = _VARIANTS[variant]
+    if variant == "accumulate" and "addr" not in {
+            spec.name for spec in cls.FIELDS}:
+        raise KeyError(f"{cls.__name__} has no field 'addr'")
+    namespace: dict = {"_cls": cls}
+    params, lines, units = _emit_signature(cls, namespace)
+    names = ("_cell", "_encode") + captured
+    if replay:
+        names += ("_record",)
+        lines += [f"units = {units}", "_record((tag, _cls, units))"]
+        units = "units"
+    lines += [line.replace("$UNITS", units) for line in body]
+    name = f"emit_{cls.__name__}"
+    source = (f"def make({', '.join(names)}):\n"
+              f"    def {name}(tag, {params}):\n"
+              + "".join(f"        {line}\n" for line in lines)
+              + f"    return {name}\n")
     exec(source, namespace)
-    fn = namespace["emit"]
-    fn.__qualname__ = f"{cls.__name__}.emit"
-    return fn
+    return namespace["make"]
 
 
 class FastCaptureEngine:
@@ -154,18 +247,24 @@ class FastCaptureEngine:
     stats object and the differencer's counters/prior cache rather than
     keeping its own, so ``CoSimulation._finish``, recovery-point
     restores and slice stitching read exactly the numbers the object
-    path would have produced.  Event-profile counts (which the legacy
+    path would have produced.  Event-profile counts (which the object
     path accumulates per bundle in ``_record_bundle``) are kept in cheap
     per-class cells and folded into ``RunStats`` by :meth:`fold_stats`.
+
+    ``replay_buffers`` (one :class:`~repro.core.replay.ReplayBuffer` per
+    core, or None with the replay window off) receive the raw records.
+    Nothing an emitter captures refers back to the engine, and the engine
+    holds no monitor: a finished run is freed by reference counting.
     """
 
-    def __init__(self, fuser, packer) -> None:
+    def __init__(self, fuser, packer, replay_buffers=None) -> None:
         if isinstance(fuser, OrderCoupledFuser):
             raise ValueError(
                 "order-coupled fusion is not fast-capture eligible")
         self.fuser = fuser
         self.packer = packer
         self.differencer = fuser.differencer if fuser is not None else None
+        self.replay_buffers = replay_buffers
         #: Per-event-id (count cell, payload size) for profile folding.
         self._cells: Dict[int, List[int]] = {}
         self._sizes: Dict[int, int] = {}
@@ -183,6 +282,7 @@ class FastCaptureEngine:
         #: emitter for that core is built; used by the window flush.
         self._commit_encoders: Dict[int, Callable] = {}
         self._emitters: Dict[Tuple[type, int], Callable] = {}
+        self.flush_window = self._window_flusher()
 
     # ------------------------------------------------------------------
     # Emitter construction
@@ -258,120 +358,54 @@ class FastCaptureEngine:
 
         return encode
 
-    def _make_emitter(self, cls, core_id: int) -> Callable:
-        """``emit(tag, **fields)``: one event class on one core —
-        re-expresses ``SquashFuser.on_cycle`` for that class.  Each
-        emitter is exec-compiled with the class's field names as keyword
-        parameters, so the fusion rule reads fields (``flags``, ``mmio``,
-        ``addr``) as plain locals and the unit tuple is built inline."""
-        cell = self._cell(cls)
-        encode = self._make_encoder(cls, core_id)
+    def _variant(self, cls, core_id: int) -> Tuple[str, dict]:
+        """Which :data:`_VARIANTS` body serves ``cls`` under this run's
+        fuser, and the values it captures."""
         fuser = self.fuser
-        ns: dict = {"_cell": cell, "_encode": encode}
         if fuser is None:
-            # No fusion: every event is transmitted full, in order.
-            return _compile_emit(cls, [
-                "    _cell[0] += 1",
-                "    _encode(tag, $UNITS)",
-            ], ns)
-        fstats = fuser.stats
-        ns["_fstats"] = fstats
+            return "unfused", {}
         desc = cls.DESCRIPTOR
         if cls is InstrCommit:
-            ns.update(_fused=self._fused, _counts=self._fused_count,
-                      _window=fuser.window, _flush_box=self._flush_box,
-                      _core=core_id)
-            self._commit_encoders[core_id] = encode
-            # Flat order is (pc, instr, wdata, rd, flags, fused_count);
-            # the window record keeps everything but fused_count, which
-            # the flush patches in from the run length.
-            return _compile_emit(cls, [
-                "    _cell[0] += 1",
-                "    _fstats.events_in += 1",
-                "    if flags & 8:",  # events.FLAG_SKIP
-                "        # MMIO-skip commit: an NDE, transmitted ahead",
-                "        # with its tag; fusion continues across the gap.",
-                "        _fstats.nde_sent_ahead += 1",
-                "        _encode(tag, $UNITS)",
-                "        return",
-                "    _fstats.commits_in += 1",
-                "    rec = _fused.get(_core)",
-                "    if rec is None:",
-                "        _fused[_core] = [tag, pc, instr, wdata, rd, flags]",
-                "        _counts[_core] = 1",
-                "    else:",
-                "        rec[0] = tag",
-                "        rec[1] = pc",
-                "        rec[2] = instr",
-                "        rec[3] = wdata",
-                "        rec[4] = rd",
-                "        rec[5] = flags",
-                "        _counts[_core] += 1",
-                "    if _counts[_core] >= _window:",
-                "        _flush_box[0] = True",
-            ], ns)
+            return "commit", dict(
+                _fused=self._fused, _counts=self._fused_count,
+                _window=fuser.window, _flush_box=self._flush_box,
+                _core=core_id)
         if desc.is_nde:
-            # Statically non-deterministic: always transmitted ahead.
-            return _compile_emit(cls, [
-                "    _cell[0] += 1",
-                "    _fstats.events_in += 1",
-                "    _fstats.nde_sent_ahead += 1",
-                "    _encode(tag, $UNITS)",
-            ], ns)
+            return "nde", {}
         if cls is LoadEvent:
-            ns["_passthrough"] = self._passthrough
-            return _compile_emit(cls, [
-                "    _cell[0] += 1",
-                "    _fstats.events_in += 1",
-                "    if mmio:",
-                "        _fstats.nde_sent_ahead += 1",
-                "        _encode(tag, $UNITS)",
-                "    else:",
-                "        _passthrough.append((_encode, tag, $UNITS))",
-            ], ns)
+            return "load", dict(_passthrough=self._passthrough)
         rule = desc.fusion_rule
         if rule is FusionRule.KEEP_LATEST:
-            ns.update(_latest=self._latest,
-                      _key=(desc.event_id, core_id))
-            return _compile_emit(cls, [
-                "    _cell[0] += 1",
-                "    _fstats.events_in += 1",
-                "    _latest[_key] = (_encode, tag, $UNITS)",
-            ], ns)
+            return "keep_latest", dict(
+                _latest=self._latest, _key=(desc.event_id, core_id))
         if rule is FusionRule.ACCUMULATE:
-            # Every ACCUMULATE class keys on a scalar ``addr`` field.
-            _flat_index(cls, "addr")  # validate at build time
-            ns.update(_accumulated=self._accumulated,
-                      _eid=desc.event_id, _core=core_id)
-            return _compile_emit(cls, [
-                "    _cell[0] += 1",
-                "    _fstats.events_in += 1",
-                "    _accumulated[(_eid, _core, addr)] = "
-                "(_encode, tag, $UNITS)",
-            ], ns)
+            return "accumulate", dict(
+                _accumulated=self._accumulated, _eid=desc.event_id,
+                _core=core_id)
         if cls is TrapFinish:
-            ns["_flush"] = self.flush_window
-            return _compile_emit(cls, [
-                "    _cell[0] += 1",
-                "    _fstats.events_in += 1",
-                "    # End of simulation: drain the window, then the trap.",
-                "    _flush()",
-                "    _encode(tag, $UNITS)",
-            ], ns)
-        # PASS_THROUGH (also COLLAPSE types that are not InstrCommit,
-        # mirroring the fuser's isinstance guard).
-        ns["_passthrough"] = self._passthrough
-        return _compile_emit(cls, [
-            "    _cell[0] += 1",
-            "    _fstats.events_in += 1",
-            "    _passthrough.append((_encode, tag, $UNITS))",
-        ], ns)
+            return "trap", dict(_flush=self.flush_window)
+        return "passthrough", dict(_passthrough=self._passthrough)
+
+    def _make_emitter(self, cls, core_id: int) -> Callable:
+        """``emit(tag, **fields)`` for one event class on one core: the
+        process-wide compiled factory bound to this run's state."""
+        encode = self._make_encoder(cls, core_id)
+        variant, captured = self._variant(cls, core_id)
+        if variant == "commit":
+            self._commit_encoders[core_id] = encode
+        if variant != "unfused":
+            captured["_fstats"] = self.fuser.stats
+        buffers = self.replay_buffers
+        if buffers is not None:
+            captured["_record"] = buffers[core_id].records.append
+        make = emitter_factory(cls, variant, buffers is not None)
+        return make(_cell=self._cell(cls), _encode=encode, **captured)
 
     def emitter_table(self, monitor) -> Dict[type, Callable]:
         """The per-class emitter table for one monitor, honouring its
         ``DutConfig.event_enabled`` filter (disabled classes are simply
-        absent, so ``Monitor._emit_fast`` drops them like the memoised
-        legacy check does)."""
+        absent, so ``Monitor._emit`` drops them like the memoised
+        object-path check does)."""
         config = monitor.config
         core_id = monitor.core_id
         table: Dict[type, Callable] = {}
@@ -388,30 +422,35 @@ class FastCaptureEngine:
     # ------------------------------------------------------------------
     # Window / bundle control
     # ------------------------------------------------------------------
-    def flush_window(self) -> None:
-        """Close the fusion window into the open append window —
-        buffered events first, fused commits last, in the exact order of
-        ``SquashFuser.flush``."""
-        self._flush_box[0] = False
+    def _window_flusher(self) -> Callable[[], None]:
+        """``flush_window()``: close the fusion window into the open
+        append window — buffered events first, fused commits last, in the
+        exact order of ``SquashFuser.flush``.  A closure over the window
+        containers rather than a method: the TrapFinish emitter calls it,
+        and an emitter holding the engine would close a reference cycle
+        through ``_emitters``."""
+        fstats = self.fuser.stats if self.fuser is not None else None
+        flush_box = self._flush_box
         passthrough = self._passthrough
-        for encode, tag, units in passthrough:
-            encode(tag, units)
-        passthrough.clear()
         accumulated = self._accumulated
-        for key in sorted(accumulated):
-            encode, tag, units = accumulated[key]
-            encode(tag, units)
-        accumulated.clear()
         latest = self._latest
-        for key in sorted(latest):
-            encode, tag, units = latest[key]
-            encode(tag, units)
-        latest.clear()
         fused = self._fused
-        if fused:
-            fstats = self.fuser.stats
-            counts = self._fused_count
-            encoders = self._commit_encoders
+        counts = self._fused_count
+        encoders = self._commit_encoders
+
+        def flush_window() -> None:
+            flush_box[0] = False
+            for encode, tag, units in passthrough:
+                encode(tag, units)
+            passthrough.clear()
+            for key in sorted(accumulated):
+                encode, tag, units = accumulated[key]
+                encode(tag, units)
+            accumulated.clear()
+            for key in sorted(latest):
+                encode, tag, units = latest[key]
+                encode(tag, units)
+            latest.clear()
             for core in sorted(fused):
                 rec = fused[core]
                 fstats.fused_commits_out += 1
@@ -419,6 +458,8 @@ class FastCaptureEngine:
                                         rec[5], counts[core]))
             fused.clear()
             counts.clear()
+
+        return flush_window
 
     def begin_bundle(self) -> None:
         """Open the append window for one core's cycle bundle."""

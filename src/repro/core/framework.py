@@ -204,7 +204,7 @@ class CoSimulation:
         self.record_final_metrics = True
         self._jit_caches: List[TraceCache] = []
         #: Straight-to-wire capture engine; selected once per run by
-        #: :meth:`_select_capture` (None = legacy event-object capture).
+        #: :meth:`_select_capture` (None = event-object capture).
         self._capture: Optional[FastCaptureEngine] = None
         #: The hardware half's stage callables (:meth:`_bind_stages`);
         #: None until the first run selects a capture path.
@@ -222,7 +222,8 @@ class CoSimulation:
         for core_id, ref in enumerate(self.refs):
             checker = Checker(ref, core_id, self.stats.counters,
                               obs=self.obs)
-            buffer = ReplayBuffer(self.diff_config.replay_buffer_slots)
+            buffer = ReplayBuffer(self.diff_config.replay_buffer_slots,
+                                  core_id)
             unit = ReplayUnit(ref, buffer, core_id)
             if slots is not None:
                 checker.ref_slot = slots[core_id]
@@ -321,10 +322,9 @@ class CoSimulation:
             payload_bytes[type_id] = (
                 payload_bytes.get(type_id, 0) + cls._STRUCT.size)
         if self.diff_config.replay:
-            buffer = self.replay_buffers[bundle.core_id]
-            buffer.push(bundle.events)
-            if len(buffer) > self.stats.replay_buffer_peak:
-                self.stats.replay_buffer_peak = len(buffer)
+            held = self.replay_buffers[bundle.core_id].push(bundle.events)
+            if held > self.stats.replay_buffer_peak:
+                self.stats.replay_buffer_peak = held
 
     def _hardware_cycle(self) -> None:
         """Event-object capture: monitors build events, the acceleration
@@ -341,39 +341,53 @@ class CoSimulation:
     def _hardware_cycle_fast(self) -> None:
         """Straight-to-wire twin of :meth:`_hardware_cycle`: the monitors
         dispatch into the capture engine's compiled emitters, which
-        serialise directly into the packer — no event objects, bundles or
-        item lists.  The wire stream is byte-identical to the object path
+        append the raw replay record and serialise directly into the
+        packer — no event objects, bundles or item lists.  The wire
+        stream is byte-identical to the object path
         (``tests/test_fastcapture_equivalence.py``)."""
         engine = self._capture
         channel = self.channel
-        for core in self.dut.cores:
+        stats = self.stats
+        for core, buffer in zip(self.dut.cores, self.replay_buffers):
+            records = buffer.records
+            mark = len(records)
             engine.begin_bundle()
             core.cycle()
             transfers = engine.end_bundle()
             if transfers:
                 channel.send_all(transfers)
+            if len(records) != mark:
+                # The emitters appended this bundle's records: bound and
+                # account the buffer as ``_record_bundle`` does.
+                held = buffer.enforce_bound()
+                if held > stats.replay_buffer_peak:
+                    stats.replay_buffer_peak = held
 
     def _select_capture(self) -> None:
-        """Choose the capture path (once per run) and bind the loop's
-        stages to it: straight-to-wire unless the run needs event objects
-        (the reasons are recorded on the run stats)."""
+        """Choose the capture path and bind the loop's stages to it:
+        straight-to-wire unless the run needs event objects (the reasons
+        are recorded on the run stats).  An engine that is already
+        attached stays — it holds the open fusion window, and every
+        rebuild of what it points at re-attaches it there."""
         reasons = fallback_reasons(self.diff_config, self._obs_on,
                                    self.dut.cores)
         self.stats.capture_fallbacks = tuple(reasons)
-        if not reasons:
-            self._attach_capture()
-        else:
+        if reasons:
             self._detach_capture()
+        elif self._capture is None:
+            self._attach_capture()
         self._bind_stages()
 
     def _attach_capture(self) -> None:
-        """(Re)build the capture engine against the current fuser/packer
-        and attach it to every monitor.  The engine shares the fuser's
-        stats and differencer, so run-wide totals carry across a rebuild
-        exactly as they do on the object path."""
+        """(Re)build the capture engine against the current fuser, packer
+        and replay buffers and attach it to every monitor.  The engine
+        shares the fuser's stats and differencer, so run-wide totals
+        carry across a rebuild exactly as they do on the object path."""
         if self._capture is not None:
             self._capture.fold_stats(self.stats)
-        self._capture = FastCaptureEngine(self.fuser, self.packer)
+        self._capture = FastCaptureEngine(
+            self.fuser, self.packer,
+            self.replay_buffers if self.diff_config.replay else None)
         for core in self.dut.cores:
             core.monitor.attach_fast_capture(self._capture)
 
@@ -559,8 +573,8 @@ class CoSimulation:
             self.channel.packer_id = packer_id
         if self._capture is not None:
             # Re-point the capture engine at the fresh packer (and, on a
-            # recovery restore, the rebuilt fuser — the restore rebuilds
-            # the fuser before calling here).
+            # recovery restore, the rebuilt fuser and replay buffers —
+            # the restore rebuilds them before calling here).
             self._attach_capture()
         self._bind_stages()
 
@@ -619,6 +633,9 @@ class CoSimulation:
         slice's barrier already accounted for it.
         """
         self._rewind(seed)
+        if self._capture is not None:
+            # The emitters append to the replay buffers just replaced.
+            self._attach_capture()
         self._window_start_cycle = self._cycle
         self._window_start_instructions = sum(
             core.retired for core in self.dut.cores)

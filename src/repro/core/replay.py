@@ -5,24 +5,37 @@ checker only knows "something in this window went wrong".  Replay
 restores instruction-level debuggability:
 
 * the hardware side buffers the original, unfused events with tokens
-  (their order tags) before the acceleration unit touches them;
+  (their order tags) before the acceleration unit touches them — as raw
+  ``(tag, class, units)`` records on a straight-to-wire run, which builds
+  no event objects, and as the event objects themselves otherwise;
 * on a mismatch, the REF is reverted to the last checked-good checkpoint
   via the compensation log (no full snapshots);
-* the buffered events in the token range are retransmitted and reprocessed
-  one instruction at a time by a fresh checker pass, which pinpoints the
-  first diverging instruction and — through the behavioural semantics of
-  the failing event type — the implicated microarchitectural component.
+* the buffered events in the token range are materialised, retransmitted
+  and reprocessed one instruction at a time by a fresh checker pass,
+  which pinpoints the first diverging instruction and — through the
+  behavioural semantics of the failing event type — the implicated
+  microarchitectural component.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Deque, List, Tuple, Union
 
 from ..events import VerificationEvent
 from ..ref.model import RefModel
 from .checker import Checker
 from .report import DebugReport, Mismatch
+
+#: What the buffer holds per captured event: the event object itself
+#: (object capture already built it) or the raw ``(tag, class, units)``
+#: record a straight-to-wire emitter appends — materialised only if a
+#: mismatch asks for it (:meth:`ReplayBuffer.fetch_range`).
+Record = Union[VerificationEvent, Tuple[int, type, tuple]]
+
+
+def _tag(record: Record) -> int:
+    return record[0] if type(record) is tuple else record.order_tag
 
 
 class ReplayBuffer:
@@ -30,45 +43,68 @@ class ReplayBuffer:
 
     Tokens are order tags.  ``trim_below`` discards events older than the
     last software-acknowledged checkpoint, bounding buffer occupancy.
+    ``records`` is public for the straight-to-wire emitters, which append
+    raw records to it directly; whoever appends calls
+    :meth:`enforce_bound` once per cycle bundle.
     """
 
-    __slots__ = ("capacity_slots", "_events", "dropped_slots")
+    __slots__ = ("capacity_slots", "core_id", "records", "dropped_slots")
 
-    def __init__(self, capacity_slots: int = 4096) -> None:
+    def __init__(self, capacity_slots: int = 4096, core_id: int = 0) -> None:
         self.capacity_slots = capacity_slots
-        self._events: Deque[VerificationEvent] = deque()
+        self.core_id = core_id
+        self.records: Deque[Record] = deque()
         self.dropped_slots = 0
 
-    def push(self, events: List[VerificationEvent]) -> None:
-        self._events.extend(events)
-        # Bound by slot span, not raw event count: drop whole old slots.
-        while self._events and (
-            self._events[-1].order_tag - self._events[0].order_tag
-            > self.capacity_slots
-        ):
-            old_tag = self._events[0].order_tag
-            while self._events and self._events[0].order_tag == old_tag:
-                self._events.popleft()
+    def push(self, events: List[VerificationEvent]) -> int:
+        """Buffer one bundle of event objects; returns the occupancy."""
+        self.records.extend(events)
+        return self.enforce_bound()
+
+    def enforce_bound(self) -> int:
+        """Bound by slot span, not raw event count: drop whole old slots.
+        Returns the occupancy left."""
+        records = self.records
+        while records and (_tag(records[-1]) - _tag(records[0])
+                           > self.capacity_slots):
+            old_tag = _tag(records[0])
+            while records and _tag(records[0]) == old_tag:
+                records.popleft()
             self.dropped_slots += 1
+        return len(records)
 
     def trim_below(self, token: int) -> None:
         """The checker checkpointed at ``token``: older events are dead."""
-        while self._events and self._events[0].order_tag < token:
-            self._events.popleft()
+        records = self.records
+        popleft = records.popleft
+        while records:
+            head = records[0]
+            # ``_tag`` inlined: every record a run captures leaves here.
+            if (head[0] if type(head) is tuple else head.order_tag) >= token:
+                break
+            popleft()
 
     def fetch_range(self, first_token: int, last_token: int
                     ) -> List[VerificationEvent]:
-        """Retransmit buffered events with tokens in the requested range.
+        """Retransmit buffered events with tokens in the requested range,
+        materialising raw records (the only place that does).
 
         Tokens outside the range (later events already captured between
         the failure and the replay request) are filtered out — the paper's
         "tokens also filter out irrelevant events" property.
         """
-        return [event for event in self._events
-                if first_token <= event.order_tag <= last_token]
+        events = []
+        for record in self.records:
+            if not first_token <= _tag(record) <= last_token:
+                continue
+            if type(record) is tuple:
+                tag, cls, units = record
+                record = cls.from_units(units, self.core_id, tag)
+            events.append(record)
+        return events
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.records)
 
 
 class ReplayUnit:

@@ -66,7 +66,7 @@ class RunStats:
     #: unrecoverable link failures.
     link_recoveries: int = 0
     #: Why the straight-to-wire capture tier was ineligible for this
-    #: run — e.g. ("obs", "replay"); empty for an eligible run.
+    #: run — e.g. ("obs", "faults"); empty for an eligible run.
     capture_fallbacks: tuple = ()
 
     @property

@@ -60,23 +60,14 @@ class Monitor:
     def _enabled(self, name: str) -> bool:
         return self.config.event_enabled(name)
 
-    def _emit(self, sink: List, cls, tag: Optional[int] = None, **fields) -> None:
-        enabled = self._enabled_memo.get(cls)
-        if enabled is None:
-            enabled = self._enabled_memo[cls] = self._enabled(cls.__name__)
-        if not enabled:
-            return
-        sink.append(cls(core_id=self.core_id,
-                        order_tag=self.slot if tag is None else tag, **fields))
-
     # ------------------------------------------------------------------
-    # Straight-to-wire capture (repro.comm.fastcapture).  When attached,
-    # ``_emit`` is swapped (instance attribute, the same mechanism the
-    # slicing reconstructor uses for its silent monitor) for a thin
-    # dispatcher into the engine's per-class emitter table — no event
-    # object is built.  ``fast_events`` counts dispatched emissions so
-    # ``DutCore.cycle`` can tell that a bundle produced wire traffic even
-    # though its event list stayed empty.
+    # Straight-to-wire capture (repro.comm.fastcapture).  While an engine
+    # is attached, ``_emit`` dispatches into its per-class emitter table
+    # and no event object is built.  The table is plain data on the
+    # monitor (no instance-level method swap, which would tie the monitor
+    # to itself in a reference cycle).  ``fast_events`` counts dispatched
+    # emissions so ``DutCore.cycle`` can tell that a bundle produced wire
+    # traffic even though its event list stayed empty.
     # ------------------------------------------------------------------
     _fast_engine = None
     _fast_emitters: Optional[dict] = None
@@ -85,24 +76,26 @@ class Monitor:
     def attach_fast_capture(self, engine) -> None:
         self._fast_engine = engine
         self._fast_emitters = engine.emitter_table(self)
-        self._emit = self._emit_fast  # type: ignore[method-assign]
 
     def detach_fast_capture(self) -> None:
-        # Only remove our own dispatcher: fault injectors and the slicing
-        # reconstructor also install instance-level ``_emit`` overrides,
-        # and those must survive a capture-path (re)selection.
-        if self.__dict__.get("_emit") == self._emit_fast:
-            del self.__dict__["_emit"]
         self._fast_engine = None
         self._fast_emitters = None
 
-    def _emit_fast(self, sink: List, cls, tag: Optional[int] = None,
-                   **fields) -> None:
-        emitter = self._fast_emitters.get(cls)
-        if emitter is None:  # disabled event class
+    def _emit(self, sink: List, cls, tag: Optional[int] = None, **fields) -> None:
+        emitters = self._fast_emitters
+        if emitters is not None:
+            emitter = emitters.get(cls)
+            if emitter is not None:  # else: disabled event class
+                self.fast_events += 1
+                emitter(self.slot if tag is None else tag, **fields)
             return
-        self.fast_events += 1
-        emitter(self.slot if tag is None else tag, **fields)
+        enabled = self._enabled_memo.get(cls)
+        if enabled is None:
+            enabled = self._enabled_memo[cls] = self._enabled(cls.__name__)
+        if not enabled:
+            return
+        sink.append(cls(core_id=self.core_id,
+                        order_tag=self.slot if tag is None else tag, **fields))
 
     # ------------------------------------------------------------------
     def on_interrupt(self, out: List, cause: int, pc: int) -> int:

@@ -404,16 +404,19 @@ class Hart:
             state.csr.force(CSR.MINSTRET, state.csr.peek(CSR.MINSTRET) + 1)
             return result
         except IllegalInstruction as exc:
-            trap: Trap = Trap(EXC_ILLEGAL, exc.word)
+            cause, tval = EXC_ILLEGAL, exc.word
         except PageFault as exc:
-            trap = Trap(exc.cause, exc.vaddr)
+            cause, tval = exc.cause, exc.vaddr
         except MemoryError64 as exc:
-            trap = Trap(EXC_LOAD_MISALIGNED, exc.addr)
+            cause, tval = EXC_LOAD_MISALIGNED, exc.addr
         except Trap as exc:
-            trap = exc
-        result.exception = (trap.cause, trap.tval)
+            cause, tval = exc.cause, exc.tval
+        # Only (cause, tval) leave the handlers: a caught exception kept in
+        # a local would hold its traceback, and through it this frame and
+        # every caller's, until the cycle collector runs.
+        result.exception = (cause, tval)
         result.reg_writes.clear()
-        self.enter_trap(trap.cause, trap.tval, is_interrupt=False)
+        self.enter_trap(cause, tval, is_interrupt=False)
         result.next_pc = state.pc
         return result
 

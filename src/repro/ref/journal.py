@@ -17,7 +17,9 @@ class CompensationLog:
 
     The log is attached to an :class:`~repro.isa.state.ArchState` (and its
     memory) via the journal hooks; ``checkpoint()`` marks a boundary and
-    ``revert_to(mark)`` undoes everything after it.
+    ``revert_to(mark, state, memory)`` undoes everything after it.  The
+    state and memory hold the log, never the reverse: a REF must be freed
+    by reference counting (campaigns build one per job).
     """
 
     KIND_XREG = 0
@@ -29,9 +31,7 @@ class CompensationLog:
     KIND_PRIV = 6
     KIND_RESERVATION = 7
 
-    def __init__(self, state, memory) -> None:
-        self._state = state
-        self._memory = memory
+    def __init__(self) -> None:
         self._records: List[Tuple[int, int, object]] = []
         self.enabled = True
 
@@ -67,12 +67,12 @@ class CompensationLog:
         """Mark a checkpoint; returns a token to revert to."""
         return len(self._records)
 
-    def revert_to(self, mark: int) -> int:
-        """Undo all modifications after ``mark`` (newest first).
+    def revert_to(self, mark: int, state, memory) -> int:
+        """Undo all modifications to ``state`` and ``memory`` after
+        ``mark`` (newest first).
 
         Returns the number of compensation records applied.
         """
-        state, memory = self._state, self._memory
         # Detach hooks while reverting so the revert isn't itself journaled.
         state.detach_journal()
         memory.journal = None

@@ -40,7 +40,7 @@ class RefModel:
                 bus.attach(base, size, _MmioStub())
         self.bus = bus
         self.hart = Hart(self.state, bus)
-        self.journal = CompensationLog(self.state, self.memory)
+        self.journal = CompensationLog()
         self.state.attach_journal(self.journal)
         self.memory.journal = self.journal
         self._checkpoint = self.journal.checkpoint()
@@ -97,7 +97,7 @@ class RefModel:
     def revert(self, mark: Optional[int] = None) -> int:
         """Revert to ``mark`` (default: the last checkpoint)."""
         target = self._checkpoint if mark is None else mark
-        return self.journal.revert_to(target)
+        return self.journal.revert_to(target, self.state, self.memory)
 
     def trim_log(self) -> None:
         """Forget history older than the last checkpoint (bounded memory)."""
@@ -116,7 +116,7 @@ class RefModel:
             bus.attach(base, size, device)
         other.bus = bus
         other.hart = Hart(other.state, bus)
-        other.journal = CompensationLog(other.state, other.memory)
+        other.journal = CompensationLog()
         other.state.attach_journal(other.journal)
         other.memory.journal = other.journal
         other._checkpoint = other.journal.checkpoint()
@@ -148,7 +148,7 @@ class RefModel:
                 bus.attach(base, size, _MmioStub())
         other.bus = bus
         other.hart = Hart(other.state, bus)
-        other.journal = CompensationLog(other.state, other.memory)
+        other.journal = CompensationLog()
         other.state.attach_journal(other.journal)
         other.memory.journal = other.journal
         other._checkpoint = other.journal.checkpoint()

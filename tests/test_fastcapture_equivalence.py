@@ -7,7 +7,9 @@ wire stream, counters and reports must match the event-object path bit
 for bit.  Every test compares a fast run/stream against a freshly
 executed object-path reference, in the style of
 ``test_jit_equivalence.py``; for whole runs the reference is the same
-run with the replay window on (the supported ``"replay"`` fallback).
+run pinned to event objects by an identity trap hook (the ``"faults"``
+fallback, which changes nothing in the stream), with the replay window
+on and off on both sides.
 
 Coverage map:
 
@@ -18,8 +20,15 @@ Coverage map:
 * the packer append-raw entry vs ``pack_cycle`` on identical items;
 * end-to-end co-simulations (all ladder configs, multi-core, restricted
   event sets) with a wire tap asserting frame-level byte identity;
-* fallback triggers: replay capture, obs instrumentation, armed faults,
-  order-coupled fusion — each recorded in ``capture_fallbacks``;
+* raw-record Replay vs object Replay: an un-armed mismatching run
+  renders the same debug report, the slot-span bound drops the same
+  slots, sliced and recovery-restored runs fill the rebuilt buffers;
+* fallback triggers: obs instrumentation, armed faults, order-coupled
+  fusion — each recorded in ``capture_fallbacks`` — and none under any
+  ladder config's defaults;
+* ``advance(k); run()`` keeps the open fusion window;
+* the process-wide emitter-factory cache: compiled once, shared code,
+  private state;
 * fast x JIT x slicing stitched identity;
 * the monitor enable-memo staleness regression (config reassignment
   between runs must invalidate the per-class cache).
@@ -31,9 +40,15 @@ import struct
 
 import pytest
 
-from repro.comm.fastcapture import FastCaptureEngine, fallback_reasons
+from repro.comm.fastcapture import (
+    FALLBACK_REASONS,
+    FastCaptureEngine,
+    emitter_factory,
+    fallback_reasons,
+)
 from repro.comm.fusion.differencing import DIFF_MIN_PAYLOAD
 from repro.comm.fusion.squash import SquashFuser
+from repro.comm.linkfaults import LinkFaultInjector, LinkFaultPlan
 from repro.comm.packing import (
     BatchPacker,
     DpicPacker,
@@ -48,7 +63,9 @@ from repro.core import (
     CONFIG_COUPLED,
     CONFIG_FIXED,
     CONFIG_Z,
+    LADDER as SHIPPED_LADDER,
     CoSimulation,
+    ReliabilityConfig,
 )
 from repro.dut import NUTSHELL, XIANGSHAN_DEFAULT, XIANGSHAN_DUAL, \
     fault_by_name
@@ -396,13 +413,24 @@ def test_append_api_matches_pack_cycle(packer_name):
 # End-to-end co-simulation identity (wire tap)
 # ----------------------------------------------------------------------
 
-def _run_tapped(config, dut=XIANGSHAN_DEFAULT, source=WORKLOAD, image=None,
-                fault=None, trigger=300, obs=None, max_cycles=60_000):
+def _pin_objects(cosim):
+    """Pin a run to event-object capture without changing its stream: an
+    identity trap hook is a ``"faults"`` fallback."""
+    for core in cosim.dut.cores:
+        core.hart.hooks.on_trap = lambda cause, tval: (cause, tval)
+
+
+def _tapped(config, dut=XIANGSHAN_DEFAULT, source=WORKLOAD, image=None,
+            fault=None, trigger=300, obs=None, link=None, pin=False):
+    """A co-simulation whose wire is tapped; ``pin`` makes it the
+    object-path reference."""
     cosim = CoSimulation(dut, config,
                          image if image is not None else assemble(source),
-                         obs=obs)
+                         obs=obs, link=link)
     if fault is not None:
         fault_by_name(fault).install(cosim.dut.cores[0], trigger)
+    if pin:
+        _pin_objects(cosim)
     wire = []
     send_all = cosim.channel.send_all
 
@@ -411,123 +439,212 @@ def _run_tapped(config, dut=XIANGSHAN_DEFAULT, source=WORKLOAD, image=None,
         return send_all(transfers)
 
     cosim.channel.send_all = tap
-    result = cosim.run(max_cycles=max_cycles)
-    return result, wire, cosim
+    return cosim, wire
 
 
-def _reference(config):
-    """The object-path twin of a fast-eligible config: the replay window
-    pins capture to event objects and changes nothing on the wire."""
-    return config.with_(replay=True)
+def _run_tapped(config, max_cycles=60_000, **kwargs):
+    cosim, wire = _tapped(config, **kwargs)
+    return cosim.run(max_cycles=max_cycles), wire, cosim
 
 
-def _assert_stats_identical(fast, reference):
-    """Counters, profile, fusion/packing stats and the rendered report —
-    everything but ``replay_buffer_peak`` and ``capture_fallbacks``,
-    which belong to the replay setting, not to capture."""
+def _run_pair(config, **kwargs):
+    """The same run on the fast path and pinned to the object path."""
+    return _run_tapped(config, **kwargs), _run_tapped(config, pin=True,
+                                                      **kwargs)
+
+
+def _assert_stats_identical(fast, reference, pinned_by=("faults",)):
+    """Counters, profile, fusion/packing stats, ``replay_buffer_peak``
+    and the rendered report — everything but ``capture_fallbacks``."""
     assert fast.capture_fallbacks == ()
-    assert reference.capture_fallbacks == ("replay",)
+    assert reference.capture_fallbacks == pinned_by
     aligned = dataclasses.replace(
-        reference, replay_buffer_peak=fast.replay_buffer_peak,
-        capture_fallbacks=fast.capture_fallbacks)
+        reference, capture_fallbacks=fast.capture_fallbacks)
     assert fast == aligned
     assert render_report(fast) == render_report(aligned)
 
 
 def _assert_identical(fast, reference):
     _assert_stats_identical(fast.stats, reference.stats)
-    # On a mismatching run only the reference has a Replay debug report.
-    assert fast.summarize() == dataclasses.replace(
-        reference.summarize(), debug_report_text=None)
+    assert fast.summarize() == reference.summarize()
+
+
+def _assert_buffers_identical(fast_sim, object_sim):
+    """Raw-record and object replay buffers hold the same window."""
+    for raw, objects in zip(fast_sim.replay_buffers,
+                            object_sim.replay_buffers):
+        assert len(raw) == len(objects)
+        assert raw.dropped_slots == objects.dropped_slots
+        assert raw.fetch_range(0, 1 << 62) == objects.fetch_range(0, 1 << 62)
+
+
+#: Both settings of the replay window, looped inside each test (the test
+#: ids predate the window being fast-capture eligible).
+REPLAY = (True, False)
 
 
 @pytest.mark.parametrize("config", LADDER, ids=lambda c: c.name)
 def test_run_wire_identity_all_ladder_configs(config):
-    cfg = config.with_(replay=False)
-    fast, fast_wire, cosim = _run_tapped(cfg)
-    legacy, legacy_wire, object_sim = _run_tapped(_reference(cfg))
-    assert fast.passed and legacy.passed
-    assert fast_wire == legacy_wire
-    _assert_identical(fast, legacy)
-    assert cosim._capture is not None  # the fast tier actually engaged
-    assert object_sim._capture is None
+    for replay in REPLAY:
+        (fast, fast_wire, cosim), (legacy, legacy_wire, object_sim) = \
+            _run_pair(config.with_(replay=replay))
+        assert fast.passed and legacy.passed
+        assert fast_wire == legacy_wire
+        _assert_identical(fast, legacy)
+        _assert_buffers_identical(cosim, object_sim)
+        assert cosim._capture is not None  # the fast tier actually engaged
+        assert cosim.dut.cores[0].monitor.fast_events > 0
+        assert object_sim._capture is None
+        assert (fast.stats.replay_buffer_peak > 0) == replay
 
 
 def test_run_wire_identity_multicore():
-    cfg = CONFIG_BNSD.with_(replay=False)
-    fast, fast_wire, _ = _run_tapped(cfg, dut=XIANGSHAN_DUAL)
-    legacy, legacy_wire, _ = _run_tapped(_reference(cfg), dut=XIANGSHAN_DUAL)
-    assert fast_wire == legacy_wire
-    _assert_identical(fast, legacy)
+    for replay in REPLAY:
+        (fast, fast_wire, cosim), (legacy, legacy_wire, object_sim) = \
+            _run_pair(CONFIG_BNSD.with_(replay=replay), dut=XIANGSHAN_DUAL)
+        assert fast_wire == legacy_wire
+        _assert_identical(fast, legacy)
+        _assert_buffers_identical(cosim, object_sim)
 
 
 def test_run_wire_identity_restricted_event_set():
     """NutShell's 6-event coverage: disabled classes must be absent from
     the emitter table, not merely dropped late."""
-    cfg = CONFIG_BNSD.with_(replay=False)
     workload = build("memory_churn", array_kb=8, passes=1)
-    fast, fast_wire, cosim = _run_tapped(cfg, dut=NUTSHELL,
-                                         image=workload.image,
-                                         max_cycles=4500)
-    legacy, legacy_wire, _ = _run_tapped(_reference(cfg), dut=NUTSHELL,
-                                         image=workload.image,
-                                         max_cycles=4500)
-    assert fast_wire == legacy_wire
-    _assert_identical(fast, legacy)
-    table = cosim.dut.cores[0].monitor._fast_emitters
-    assert {cls.__name__ for cls in table} == set(NUTSHELL.event_set)
+    for replay in REPLAY:
+        (fast, fast_wire, cosim), (legacy, legacy_wire, _) = _run_pair(
+            CONFIG_BNSD.with_(replay=replay), dut=NUTSHELL,
+            image=workload.image, max_cycles=4500)
+        assert fast_wire == legacy_wire
+        _assert_identical(fast, legacy)
+        table = cosim.dut.cores[0].monitor._fast_emitters
+        assert {cls.__name__ for cls in table} == set(NUTSHELL.event_set)
 
 
 def test_run_identity_with_stalls_and_interrupts():
     workload = build("memory_churn", array_kb=8, passes=1)
-    cfg = CONFIG_BNSD.with_(replay=False)
-    fast, fast_wire, _ = _run_tapped(cfg, image=workload.image,
-                                     max_cycles=6000)
-    legacy, legacy_wire, _ = _run_tapped(_reference(cfg),
-                                         image=workload.image, max_cycles=6000)
-    assert fast_wire == legacy_wire
-    _assert_identical(fast, legacy)
+    for replay in REPLAY:
+        (fast, fast_wire, _), (legacy, legacy_wire, _) = _run_pair(
+            CONFIG_BNSD.with_(replay=replay), image=workload.image,
+            max_cycles=6000)
+        assert fast_wire == legacy_wire
+        _assert_identical(fast, legacy)
 
 
 def test_mismatch_detected_identically_without_replay():
-    """A mismatching run without replay: the armed fault forces the
-    object path, so the mismatch is the reference's by construction —
-    which is exactly the guarantee the fallback exists to give."""
+    """An armed fault forces the object path with or without the replay
+    window, so the mismatch is the reference's by construction — which
+    is exactly the guarantee the fallback exists to give."""
     cfg = CONFIG_BNSD.with_(replay=False)
-    fast, _, cosim = _run_tapped(cfg, fault="sbuffer_lost_bytes")
-    legacy, _, _ = _run_tapped(_reference(cfg), fault="sbuffer_lost_bytes")
+    bare, _, cosim = _run_tapped(cfg, fault="sbuffer_lost_bytes")
+    replayed, _, _ = _run_tapped(cfg.with_(replay=True),
+                                 fault="sbuffer_lost_bytes")
     assert cosim._capture is None
-    assert fast.stats.capture_fallbacks == ("faults",)
-    assert legacy.stats.capture_fallbacks == ("replay", "faults")
-    assert fast.mismatch is not None and legacy.mismatch is not None
-    assert fast.summarize().mismatch == legacy.summarize().mismatch
+    assert bare.stats.capture_fallbacks == ("faults",)
+    assert replayed.stats.capture_fallbacks == ("faults",)
+    assert bare.mismatch is not None and replayed.mismatch is not None
+    assert bare.summarize().mismatch == replayed.summarize().mismatch
+    assert bare.debug_report is None and replayed.debug_report is not None
+
+
+# ----------------------------------------------------------------------
+# Raw-record Replay vs object Replay
+# ----------------------------------------------------------------------
+
+def _diverged_run(config, pin, at=150, **kwargs):
+    """A bug no fault arms: run ``at`` cycles, flip a bit of the DUT's
+    accumulator behind the monitor's back, run on to the mismatch."""
+    cosim, wire = _tapped(config, pin=pin, **kwargs)
+    cosim.advance(at)
+    cosim.dut.cores[0].state.xregs[6] ^= 1 << 40  # t1
+    return cosim.run(60_000), wire, cosim
+
+
+def test_unarmed_mismatch_replays_identically_from_raw_records():
+    fast, fast_wire, cosim = _diverged_run(CONFIG_BNSD, pin=False)
+    legacy, legacy_wire, object_sim = _diverged_run(CONFIG_BNSD, pin=True)
+    assert cosim._capture is not None and object_sim._capture is None
+    assert fast.mismatch is not None
+    assert fast_wire == legacy_wire
+    report, reference = fast.debug_report, legacy.debug_report
+    assert report.localized is not None
+    assert report.render() == reference.render()
+    assert (report.replayed_events, report.replay_slots,
+            report.reverted_records) == (
+        reference.replayed_events, reference.replay_slots,
+        reference.reverted_records)
+    assert report.replayed_events > 0
+    _assert_identical(fast, legacy)
+    _assert_buffers_identical(cosim, object_sim)
+
+
+def test_slot_span_bound_drops_identically():
+    """A replay window smaller than the checkpoint interval: the bound
+    (not the checkpoint trim) is what keeps the buffer short."""
+    cfg = CONFIG_BNSD.with_(replay_buffer_slots=24)
+    (fast, _, cosim), (legacy, _, object_sim) = _run_pair(cfg)
+    assert fast.passed and legacy.passed
+    assert cosim.replay_buffers[0].dropped_slots > 0
+    _assert_identical(fast, legacy)
+    _assert_buffers_identical(cosim, object_sim)
+
+
+def test_recovery_restore_repoints_emitters_at_rebuilt_buffers():
+    """A snapshot restore rebuilds the replay buffers; the emitters must
+    append to the new ones (the old deques are unreachable)."""
+    cfg = CONFIG_BNSD.with_(reliability=ReliabilityConfig(
+        reliable=True, recovery_interval=50))
+
+    def run(pin):
+        link = LinkFaultInjector([LinkFaultPlan("link_reset", trigger=3)])
+        return _run_tapped(cfg, link=link, pin=pin)
+
+    (fast, fast_wire, cosim), (legacy, legacy_wire, object_sim) = \
+        run(False), run(True)
+    assert fast.passed and legacy.passed
+    assert fast.stats.link_recoveries >= 1
+    assert fast_wire == legacy_wire
+    _assert_identical(fast, legacy)
+    assert len(cosim.replay_buffers[0]) > 0
+    _assert_buffers_identical(cosim, object_sim)
 
 
 # ----------------------------------------------------------------------
 # Fallback triggers
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("config", SHIPPED_LADDER, ids=lambda c: c.name)
+def test_shipped_ladder_defaults_take_the_fast_tier(config):
+    """Every ladder config with its default ``replay`` runs
+    straight-to-wire: a future fallback reason cannot silently re-pin
+    what users get by default."""
+    assert config.replay  # the shipped default
+    result, _, cosim = _run_tapped(config)
+    assert result.passed
+    assert result.stats.capture_fallbacks == ()
+    assert cosim.dut.cores[0].monitor.fast_events > 0
+
+
 @pytest.mark.parametrize("replay", [True, False])
 def test_fallback_replay(replay):
-    """Capture is selected from the run: the replay window (on by
-    default) pins the object path, without it the tier attaches."""
+    """The replay window is no longer a fallback: the tier attaches with
+    it on (raw records) and off."""
     result, _, cosim = _run_tapped(CONFIG_BNSD.with_(replay=replay))
     assert result.passed
-    assert result.stats.capture_fallbacks == (("replay",) if replay else ())
-    assert (cosim._capture is None) == replay
+    assert result.stats.capture_fallbacks == ()
+    assert cosim._capture is not None
+    assert "replay" not in FALLBACK_REASONS
 
 
 def test_fallback_obs():
-    cfg = CONFIG_BNSD.with_(replay=False)
-    fast, _, cosim = _run_tapped(cfg, obs=ObsContext())
+    fast, _, cosim = _run_tapped(CONFIG_BNSD, obs=ObsContext())
     assert cosim._capture is None
     assert fast.stats.capture_fallbacks == ("obs",)
     assert fast.metrics.value("capture.fallback.obs") == 1
 
 
 def test_fallback_order_coupled():
-    cfg = CONFIG_COUPLED.with_(replay=False)
-    fast, _, cosim = _run_tapped(cfg)
+    fast, _, cosim = _run_tapped(CONFIG_COUPLED)
     assert fast.passed
     assert cosim._capture is None
     assert fast.stats.capture_fallbacks == ("order_coupled",)
@@ -538,10 +655,81 @@ def test_fallback_reasons_canonical_order_and_hooks():
     cosim = CoSimulation(XIANGSHAN_DEFAULT, cfg, assemble(WORKLOAD))
     fault_by_name("control_flow_wdata").install(cosim.dut.cores[0], 100)
     reasons = fallback_reasons(cfg, True, cosim.dut.cores)
-    assert reasons == ["obs", "replay", "faults", "order_coupled"]
-    clean = CoSimulation(XIANGSHAN_DEFAULT, CONFIG_BNSD.with_(replay=False),
-                         assemble(WORKLOAD))
+    assert reasons == ["obs", "faults", "order_coupled"]
+    assert tuple(reasons) == FALLBACK_REASONS
+    clean = CoSimulation(XIANGSHAN_DEFAULT, CONFIG_BNSD, assemble(WORKLOAD))
     assert fallback_reasons(clean.diff_config, False, clean.dut.cores) == []
+
+
+# ----------------------------------------------------------------------
+# advance(k); run() keeps the attached engine and its open window
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("replay", REPLAY, ids=["replay", "noreplay"])
+def test_advance_then_run_matches_run(replay):
+    """``run()`` after ``advance()`` re-selects capture; it must keep the
+    engine that holds the open fusion window (a fresh one dropped the
+    fused commits and reported a false mismatch)."""
+    cfg = CONFIG_BNSD.with_(replay=replay)
+    workload = build("sort", elements=32)
+
+    def drive(stop):
+        cosim, wire = _tapped(cfg, image=workload.image)
+        if stop:
+            cosim.advance(stop)
+            # Mid-window: fused commits are waiting for the flush.
+            assert cosim._capture._fused
+        return cosim.run(workload.max_cycles), wire
+
+    whole, whole_wire = drive(0)
+    split, split_wire = drive(3001)
+    assert whole.passed and split.passed
+    assert split_wire == whole_wire
+    assert split.stats == whole.stats
+    assert split.summarize() == whole.summarize()
+
+
+# ----------------------------------------------------------------------
+# The process-wide emitter-factory cache
+# ----------------------------------------------------------------------
+
+def test_emitter_source_compiles_once_per_process():
+    _run_tapped(CONFIG_BNSD)  # whatever this process had not compiled yet
+    before = emitter_factory.cache_info()
+    _, _, first = _run_tapped(CONFIG_BNSD)
+    _, _, second = _run_tapped(CONFIG_BNSD)
+    after = emitter_factory.cache_info()
+    assert after.misses == before.misses
+    assert after.currsize == before.currsize
+    assert after.hits > before.hits
+    # Shared code, private state: same code objects, distinct cells,
+    # differencing priors and replay deques.
+    one, two = first._capture, second._capture
+    for key, emitter in one._emitters.items():
+        assert emitter is not two._emitters[key]
+        assert emitter.__code__ is two._emitters[key].__code__
+    assert one._cells is not two._cells
+    assert all(one._cells[eid] is not two._cells[eid] for eid in one._cells)
+    assert one.differencer._last is not two.differencer._last
+    assert (first.replay_buffers[0].records
+            is not second.replay_buffers[0].records)
+
+
+def test_runs_sharing_factories_do_not_share_state():
+    """Interleave two runs cycle by cycle: each must end exactly like the
+    same run made alone."""
+    alone, alone_wire, _ = _run_tapped(CONFIG_BNSD)
+    (a, wire_a), (b, wire_b) = _tapped(CONFIG_BNSD), _tapped(CONFIG_BNSD)
+    for cycle in range(50, 60_000, 50):
+        a.advance(cycle)
+        b.advance(cycle)
+        if a.dut.finished() and b.dut.finished():
+            break
+    for cosim, wire in ((a, wire_a), (b, wire_b)):
+        result = cosim.run(60_000)
+        assert result.passed
+        assert wire == alone_wire
+        assert result.stats == alone.stats
 
 
 # ----------------------------------------------------------------------
@@ -551,47 +739,56 @@ def test_fallback_reasons_canonical_order_and_hooks():
 def test_run_identity_with_jit(monkeypatch):
     monkeypatch.setattr("repro.isa.jit.DEFAULT_WARMUP", 2)
     workload = build("memory_churn", array_kb=8, passes=1)
-    cfg = CONFIG_BNSD.with_(replay=False, jit=True)
-    fast, fast_wire, cosim = _run_tapped(cfg, image=workload.image,
-                                         max_cycles=4500)
-    legacy, legacy_wire, _ = _run_tapped(_reference(cfg),
-                                         image=workload.image,
-                                         max_cycles=4500)
-    assert cosim._capture is not None
-    assert cosim.dut.cores[0].jit.stats.hits > 0  # both tiers engaged
-    assert fast_wire == legacy_wire
-    _assert_identical(fast, legacy)
+    for replay in REPLAY:
+        (fast, fast_wire, cosim), (legacy, legacy_wire, _) = _run_pair(
+            CONFIG_BNSD.with_(replay=replay, jit=True),
+            image=workload.image, max_cycles=4500)
+        assert cosim._capture is not None
+        assert cosim.dut.cores[0].jit.stats.hits > 0  # both tiers engaged
+        assert fast_wire == legacy_wire
+        _assert_identical(fast, legacy)
 
 
 def test_sliced_run_identity_with_fast_capture(monkeypatch):
     monkeypatch.setattr("repro.isa.jit.DEFAULT_WARMUP", 4)
     workload = build("memory_churn", array_kb=8, passes=1)
     max_cycles = 4500
-    cfg = CONFIG_BNSD.with_(replay=False, jit=True)
-    serial = CoSimulation(
-        NUTSHELL, cfg.with_(slice_epoch_cycles=epoch_for(max_cycles, 3)),
-        workload.image, seed=2025,
-        uart_input=workload.uart_input).run(max_cycles)
-    sliced = sliced_run(NUTSHELL, cfg, workload.image,
-                        max_cycles=max_cycles, slices=3, seed=2025,
-                        uart_input=workload.uart_input)
-    assert sliced.passed
-    assert render_report(serial.stats) == render_report(sliced.stats)
-    assert serial.summarize() == sliced.summary
-    assert serial.stats.capture_fallbacks == ()
+    for replay in REPLAY:
+        cfg = CONFIG_BNSD.with_(replay=replay, jit=True)
+        serial = CoSimulation(
+            NUTSHELL,
+            cfg.with_(slice_epoch_cycles=epoch_for(max_cycles, 3)),
+            workload.image, seed=2025,
+            uart_input=workload.uart_input).run(max_cycles)
+        sliced = sliced_run(NUTSHELL, cfg, workload.image,
+                            max_cycles=max_cycles, slices=3, seed=2025,
+                            uart_input=workload.uart_input)
+        assert sliced.passed
+        assert render_report(serial.stats) == render_report(sliced.stats)
+        assert serial.summarize() == sliced.summary
+        assert serial.stats.capture_fallbacks == ()
+        assert (serial.stats.replay_buffer_peak > 0) == replay
 
 
 def test_sliced_fast_matches_sliced_legacy():
+    """Slice workers resume from a boundary (replay buffers rebuilt
+    before the engine attaches); the object-path reference is the same
+    sliced run observed."""
     workload = build("memory_churn", array_kb=8, passes=1)
-    cfg = CONFIG_BNSD.with_(replay=False)
-    fast = sliced_run(NUTSHELL, cfg, workload.image, max_cycles=4500,
-                      slices=3, seed=2025, uart_input=workload.uart_input)
-    legacy = sliced_run(NUTSHELL, _reference(cfg),
-                        workload.image, max_cycles=4500, slices=3,
-                        seed=2025, uart_input=workload.uart_input)
-    assert fast.passed and legacy.passed
-    _assert_stats_identical(fast.stats, legacy.stats)
-    assert fast.summary == legacy.summary
+    for replay in REPLAY:
+        cfg = CONFIG_BNSD.with_(replay=replay)
+        fast = sliced_run(NUTSHELL, cfg, workload.image, max_cycles=4500,
+                          slices=3, seed=2025,
+                          uart_input=workload.uart_input)
+        legacy = sliced_run(NUTSHELL, cfg, workload.image, max_cycles=4500,
+                            slices=3, seed=2025,
+                            uart_input=workload.uart_input,
+                            collect_metrics=True)
+        assert fast.passed and legacy.passed
+        _assert_stats_identical(fast.stats, legacy.stats,
+                                pinned_by=("obs",))
+        assert fast.summary == dataclasses.replace(legacy.summary,
+                                                   metrics=None)
 
 
 # ----------------------------------------------------------------------

@@ -194,23 +194,39 @@ def test_one_run_loop():
 
 
 @pytest.mark.parametrize("observed", [False, True], ids=["plain", "obs"])
-def test_finished_run_is_freed_by_reference_counting(small_image, observed):
+def test_finished_run_is_freed_by_reference_counting(observed):
     """A co-simulation holds DUT and REF memory images and campaigns
-    build hundreds of them, so it must not sit in a reference cycle
-    waiting for the cycle collector (peak RSS of a fuzz campaign)."""
+    build hundreds of them, so nothing of it may sit in a reference cycle
+    waiting for the cycle collector (peak RSS of a fuzz campaign; pool
+    workers run with the collector off).  The program is a fuzz seed
+    that traps: a caught trap kept in ``Hart.step``'s frame used to pin
+    the whole call stack, and the REF's compensation log its state."""
     import gc
     import weakref
 
     from repro.core import CoSimulation
+    from repro.events import ArchException
     from repro.obs import ObsContext
+    from repro.workloads.fuzz import fuzz_workload
 
+    workload = fuzz_workload(2)
     gc.disable()
     try:
-        cosim = CoSimulation(XIANGSHAN_DEFAULT, CONFIG_BNSD, small_image,
+        cosim = CoSimulation(XIANGSHAN_DEFAULT, CONFIG_BNSD, workload.image,
                              obs=ObsContext() if observed else None)
-        assert cosim.run(60_000).passed
-        alive = weakref.ref(cosim)
-        del cosim
-        assert alive() is None
+        result = cosim.run(workload.max_cycles)
+        assert result.passed
+        assert result.stats.profile.counts[
+            ArchException.DESCRIPTOR.event_id] > 0
+        assert (cosim._capture is None) == observed
+        held = {"cosim": cosim, "monitor": cosim.dut.cores[0].monitor,
+                "packer": cosim.packer, "ref memory": cosim.refs[0].memory,
+                "dut memory": cosim.dut.memory}
+        if not observed:
+            held["capture engine"] = cosim._capture
+        alive = {name: weakref.ref(obj) for name, obj in held.items()}
+        del cosim, result, held
+        assert [name for name, ref in alive.items()
+                if ref() is not None] == []
     finally:
         gc.enable()

@@ -235,7 +235,7 @@ def _journaled_hart(image: bytes, jit: bool) -> Hart:
     bus = Bus(PhysicalMemory())
     bus.memory.store_bytes(DRAM_BASE, image)
     hart = Hart(ArchState(0, DRAM_BASE), bus)
-    journal = CompensationLog(hart.state, hart.bus.memory)
+    journal = CompensationLog()
     hart.state.attach_journal(journal)
     hart.bus.memory.journal = journal
     if jit:
@@ -279,8 +279,9 @@ class TestRefStepperLockstep:
         for _ in range(400):
             interp.step(mmio_policy="skip")
             jit.step(mmio_policy="skip")
-        interp.state.journal.revert_to(marks[0])
-        jit.state.journal.revert_to(marks[1])
+        interp.state.journal.revert_to(marks[0], interp.state,
+                                       interp.bus.memory)
+        jit.state.journal.revert_to(marks[1], jit.state, jit.bus.memory)
         # The journal restores architectural state (pc, xregs, MINSTRET,
         # memory) but not the hart-level ``instret`` tally — drop it from
         # the revert comparison, matching interpreter behaviour.

@@ -61,6 +61,35 @@ class TestReplayBuffer:
         tags = {e.order_tag for e in buffer.fetch_range(0, 100)}
         assert max(tags) - min(tags) <= 4
 
+    def test_raw_records_trim_bound_and_fetch_like_events(self):
+        """A straight-to-wire run appends ``(tag, class, units)`` records;
+        the same bound, trim and fetch serve them, and ``fetch_range``
+        materialises them into the events object capture would hold."""
+        objects = ReplayBuffer(capacity_slots=4, core_id=1)
+        raw = ReplayBuffer(capacity_slots=4, core_id=1)
+        mixed = ReplayBuffer(capacity_slots=4, core_id=1)
+        for tag in range(10):
+            events = [EV.InstrCommit(core_id=1, order_tag=tag, pc=tag,
+                                     fused_count=1),
+                      EV.IntWriteback(core_id=1, order_tag=tag, addr=5,
+                                      data=tag)]
+            records = [(tag, type(e), tuple(e.to_units())) for e in events]
+            held = objects.push(events)
+            raw.records.extend(records)
+            assert raw.enforce_bound() == held
+            # A run that switched capture paths holds both forms.
+            mixed.records.extend(records if tag < 5 else events)
+            assert mixed.enforce_bound() == held
+        for buffer in (raw, mixed):
+            assert buffer.dropped_slots == objects.dropped_slots > 0
+            assert buffer.fetch_range(0, 100) == objects.fetch_range(0, 100)
+            assert buffer.fetch_range(7, 8) == objects.fetch_range(7, 8)
+        for buffer in (objects, raw, mixed):
+            buffer.trim_below(8)
+            assert len(buffer) == 4
+        assert raw.fetch_range(0, 100) == objects.fetch_range(0, 100)
+        assert all(e.core_id == 1 for e in raw.fetch_range(0, 100))
+
 
 def run_with_fault(fault_name: str, trigger: int = 300,
                    config=CONFIG_BNSD, source: str = WORKLOAD):
