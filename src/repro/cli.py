@@ -133,10 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           "later slices to offset their seeding delay")
     run.add_argument("--profile", action="store_true",
                      help="print the per-event-type profile (Figure 4)")
-    run.add_argument("--jit", action="store_true",
-                     help="enable the compiled-simulation tier "
-                          "(superblock trace cache; byte-identical "
-                          "events, counters and report)")
+    run.add_argument("--jit", action=argparse.BooleanOptionalAction,
+                     default=True,
+                     help="compiled-simulation tier (superblock trace "
+                          "cache; byte-identical events, counters and "
+                          "report); --no-jit pins the interpreter")
     _add_obs_flags(run)
 
     profile = sub.add_parser(
@@ -301,17 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-def _apply_jit_flags(config, args):
-    """Apply ``--jit`` to a DiffConfig."""
-    return config.with_(jit=True) if args.jit else config
-
-
 def _cmd_run(args) -> int:
     if getattr(args, "slices", 1) > 1:
         return _cmd_run_sliced(args)
     workload = build(args.workload)
     dut = _DUTS[args.dut]
-    config = _apply_jit_flags(_CONFIGS[args.config], args)
+    config = _CONFIGS[args.config].with_(jit=args.jit)
     platform = _PLATFORMS[args.platform]
     obs = ObsContext() if (args.trace_out or args.metrics_out) else None
     result = run_cosim(dut, config, workload.image,
@@ -354,7 +350,7 @@ def _cmd_run_sliced(args) -> int:
 
     workload = build(args.workload)
     dut = _DUTS[args.dut]
-    config = _apply_jit_flags(_CONFIGS[args.config], args)
+    config = _CONFIGS[args.config].with_(jit=args.jit)
     platform = _PLATFORMS[args.platform]
     want_obs = bool(args.trace_out or args.metrics_out)
     obs = ObsContext() if want_obs else None

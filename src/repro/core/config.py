@@ -78,12 +78,15 @@ class DiffConfig:
     #: the serial reference run to use the same epoch so both sides see
     #: identical barrier effects.
     slice_epoch_cycles: int = 0
-    #: Compiled-simulation tier (:mod:`repro.isa.jit`): exec-compile hot
-    #: straight-line superblocks on both the DUT and REF harts.
-    #: Semantically equivalent to the interpreted path — events, counters
-    #: and reports are byte-identical with it on or off; any armed fault,
-    #: trap, interrupt or translation window falls back to the interpreter.
-    jit: bool = False
+    #: Compiled-simulation tier (:mod:`repro.isa.jit`): hot straight-line
+    #: superblocks on both the DUT and REF harts run as exec-compiled
+    #: code, compiled once per process and bound per run.  On by default;
+    #: ``jit=False`` pins both harts to the interpreter, the behavioural
+    #: reference the equivalence suite compares against.  Events, wire
+    #: bytes, counters and reports are byte-identical either way; any
+    #: armed fault, trap, interrupt or translation window falls back to
+    #: the interpreter by itself.
+    jit: bool = True
 
     def with_(self, **changes) -> "DiffConfig":
         return replace(self, **changes)

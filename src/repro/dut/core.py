@@ -170,7 +170,10 @@ class DutCore:
                 results = jit.run_block(self.hart, self.state.pc, remaining)
                 if results is not None:
                     # Blocks hold only straight-line, trap-free, non-MMIO
-                    # instructions: every step in the batch retired.
+                    # instructions: every step in the batch retired.  A
+                    # store is only ever the batch's first step
+                    # (TraceCache._trace), so the lines the hierarchy
+                    # model reads here are what the interpreter reads.
                     for result in results:
                         self._model_hierarchy(events, result, False)
                         self.monitor.on_step(events, result)

@@ -26,12 +26,27 @@ Two flavours are generated, matching the two sides of a co-simulation:
   instructions per call (the commit budget of the current cycle) and
   returning the per-instruction :class:`~repro.isa.execute.StepResult`
   list the monitor needs.  Dispatched by
-  :meth:`~repro.dut.core.DutCore.cycle`.
+  :meth:`~repro.dut.core.DutCore.cycle`, which models the cache
+  hierarchy for the batch *after* it ran — so a store may only lead a
+  DUT block (see :meth:`TraceCache._trace`).
 * ``mode="ref"`` — one *stepper* per PC covered by a block, executing a
   single instruction with inline compensation-log journaling.
   Dispatched from :meth:`~repro.isa.execute.Hart.step`; the checker
   drives the REF strictly one instruction at a time (its state is
   compared after every slot), so the REF side must never run ahead.
+
+The tier is what a default run executes (``DiffConfig.jit`` is on;
+``jit=False`` pins the interpreter, the reference the equivalence suite
+compares against).  Compiling and running are split: generated source is
+a pure function of ``(mode, pc, instruction words)``, so code objects
+live in one process-wide, bounded, content-addressed cache
+(:data:`_CODE_CACHE`) and a :class:`TraceCache` only *binds* them — one
+``exec`` of the cached code into its single namespace — which keeps a
+run's own JIT state to a few dozen KB of function objects and makes the
+second run of an image in a process (benchmark repeats, slices, ladder
+configs, the cores of a multi-core DUT) compile nothing.  Patched
+instruction words are a new key, so self-modifying code never meets
+stale code.
 
 Invalidation is airtight by construction:
 
@@ -52,6 +67,7 @@ Invalidation is airtight by construction:
 
 from __future__ import annotations
 
+from types import CodeType
 from typing import Dict, List, Optional, Tuple
 
 from .compressed import is_compressed
@@ -79,6 +95,31 @@ DEFAULT_WARMUP = 16
 
 #: Upper bound on live compiled blocks per trace cache.
 DEFAULT_MAX_BLOCKS = 512
+
+#: Upper bound on entries of the process-wide code cache; on overflow it
+#: is cleared wholesale (functions already bound keep their code alive,
+#: so clearing only costs later runs a recompile).
+MAX_CACHED_CODE = 1024
+
+#: ``(mode, pc, instruction words) -> code object``.  Generated source is
+#: a pure function of that key — device bounds and memory accessors are
+#: namespace values, never folded into the text — so ``compile()`` runs
+#: at most once per key per process and every later run, slice, ladder
+#: config or core that meets the same code only *binds* it.
+_CODE_CACHE: Dict[tuple, CodeType] = {}
+
+
+def _cached_code(key: tuple, generate, *args) -> CodeType:
+    """The code object for ``key``, generating and compiling its source
+    with ``generate(*args)`` the first time the process sees the key."""
+    code = _CODE_CACHE.get(key)
+    if code is None:
+        if len(_CODE_CACHE) >= MAX_CACHED_CODE:
+            _CODE_CACHE.clear()
+        code = _CODE_CACHE[key] = compile(
+            generate(*args), f"<jit-{key[0]}-{key[1]:#x}>", "exec")
+    return code
+
 
 #: Compensation-log record kinds (inlined into generated REF steppers;
 #: pinned against CompensationLog by tests/test_jit_equivalence.py).
@@ -135,24 +176,17 @@ class JitStats:
 
 
 class CompiledBlock:
-    """One compiled superblock (entry-PC keyed)."""
+    """One compiled superblock (entry-PC keyed): the block function in
+    ``mode="dut"``, one stepper per covered PC in ``mode="ref"``."""
 
-    __slots__ = ("entry_pc", "pcs", "names", "page", "epoch", "dut_fn",
-                 "ref_fns")
+    __slots__ = ("entry_pc", "page", "epoch", "dut_fn", "ref_fns")
 
-    def __init__(self, entry_pc: int, pcs: Tuple[int, ...],
-                 names: Tuple[str, ...], page: int, epoch: int,
-                 dut_fn=None, ref_fns=None) -> None:
+    def __init__(self, entry_pc: int, page: int, epoch: int) -> None:
         self.entry_pc = entry_pc
-        self.pcs = pcs
-        self.names = names
         self.page = page
         self.epoch = epoch
-        self.dut_fn = dut_fn
-        self.ref_fns = ref_fns
-
-    def __len__(self) -> int:
-        return len(self.pcs)
+        self.dut_fn = None
+        self.ref_fns: Dict[int, object] = {}
 
 
 class TraceCache:
@@ -174,6 +208,10 @@ class TraceCache:
         self.pc_map: Dict[int, CompiledBlock] = {}
         self._counts: Dict[int, int] = {}
         self._uncompilable: set = set()
+        #: The one exec namespace every function of this cache is bound
+        #: in (built on the first compile, so a run that never warms a
+        #: block pays nothing).
+        self._ns: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -246,10 +284,9 @@ class TraceCache:
 
     def _evict(self, block: CompiledBlock) -> None:
         self.blocks.pop(block.entry_pc, None)
-        if self.mode == "ref":
-            for pc in block.pcs:
-                if self.pc_map.get(pc) is block:
-                    del self.pc_map[pc]
+        for pc in block.ref_fns:
+            if self.pc_map.get(pc) is block:
+                del self.pc_map[pc]
         self.stats.evictions += 1
 
     # ------------------------------------------------------------------
@@ -259,7 +296,17 @@ class TraceCache:
         """The straight-line run starting at ``pc``: a list of
         ``(pc, raw_word, decoded)``, ending at (and including) the first
         terminal, or ending before the first uncompilable instruction or
-        page boundary."""
+        page boundary.
+
+        In ``mode="dut"`` a store only ever *leads* a block: the DUT core
+        models the cache hierarchy for a whole batch after it has run, and
+        a refill or store-buffer flush reads the memory line as it is
+        then, so a store behind an earlier instruction of the same batch
+        would leak into that instruction's refill data.  Ending the block
+        before the store keeps memory constant across everything the
+        batch models after its first instruction — the interpreter's
+        read-after-step order."""
+        lead_stores_only = self.mode == "dut"
         memory = self.memory
         page_base = pc & ~(PAGE_SIZE - 1)
         # The whole page must be plain RAM: fetches are then never MMIO.
@@ -288,6 +335,8 @@ class TraceCache:
                     or name in _LOADS or name in _STORES
                     or name in ("lui", "auipc")):
                 break  # trap-capable / system / FP / vector / atomic
+            if lead_stores_only and instrs and name in _STORES:
+                break  # re-entered at the store's own entry PC
             instrs.append((cur, word, d))
             cur += 4
         return instrs or None
@@ -303,26 +352,33 @@ class TraceCache:
             return None
         page = pc >> PAGE_SHIFT
         epoch = self.memory.register_code_page(page)
-        pcs = tuple(i[0] for i in instrs)
-        names = tuple(i[2].name for i in instrs)
-        block = CompiledBlock(pc, pcs, names, page, epoch)
-        namespace = self._namespace()
+        block = CompiledBlock(pc, page, epoch)
         if self.mode == "dut":
-            source = _gen_dut_block(instrs, page)
-            exec(compile(source, f"<jit-dut-{pc:#x}>", "exec"), namespace)
-            block.dut_fn = namespace["__jit_block"]
+            words = tuple(i[1] for i in instrs)
+            block.dut_fn = self._bind(
+                _cached_code(("dut", pc, words), _gen_dut_block, instrs, page),
+                "__jit_block")
         else:
-            block.ref_fns = {}
-            for index, (ipc, word, d) in enumerate(instrs):
-                source = _gen_ref_stepper(ipc, word, d)
-                ns = dict(namespace)
-                exec(compile(source, f"<jit-ref-{ipc:#x}>", "exec"), ns)
-                block.ref_fns[ipc] = ns["__jit_step"]
-            for p in pcs:
-                self.pc_map[p] = block
+            for ipc, word, d in instrs:
+                block.ref_fns[ipc] = self._bind(
+                    _cached_code(("ref", ipc, word), _gen_ref_stepper,
+                                 ipc, word, d),
+                    "__jit_step")
+                self.pc_map[ipc] = block
         self.blocks[pc] = block
         self.stats.blocks_compiled += 1
         return block
+
+    def _bind(self, code: CodeType, name: str):
+        """Define ``code``'s function over this cache's namespace and take
+        it back out: a function left in the dict that is its own
+        ``__globals__`` is a reference cycle, and the namespace reaches
+        the memory image through ``ML``/``MS``."""
+        ns = self._ns
+        if ns is None:
+            ns = self._ns = self._namespace()
+        exec(code, ns)
+        return ns.pop(name)
 
     def _namespace(self) -> dict:
         ns = {

@@ -55,3 +55,17 @@ def quick_cosim(image: bytes, diff_config=CONFIG_BNSD,
     """Run a small co-simulation and return the RunResult."""
     return run_cosim(dut_config, diff_config, image, max_cycles=max_cycles,
                      seed=seed)
+
+
+def tap_wire(cosim) -> list:
+    """Record the bytes of every transfer ``cosim`` sends from now on;
+    returns the (live) list they are appended to."""
+    wire = []
+    send_all = cosim.channel.send_all
+
+    def tap(transfers):
+        wire.extend(bytes(t.data) for t in transfers)
+        return send_all(transfers)
+
+    cosim.channel.send_all = tap
+    return wire

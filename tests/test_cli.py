@@ -68,6 +68,25 @@ class TestRun:
                             if not line.startswith("metrics written"))
         assert plain.strip() == trimmed.strip()
 
+    def test_no_jit_pins_the_interpreter(self, capsys, tmp_path):
+        """Compiled stepping is the default; ``--no-jit`` is its negation
+        and changes nothing a user can read but the ``jit.*`` counters."""
+        def run(*flags):
+            metrics = tmp_path / "m.jsonl"
+            code = main(["run", "--workload", "microbench",
+                         "--metrics-out", str(metrics), *flags])
+            names = {json.loads(line)["name"]
+                     for line in metrics.read_text().splitlines()}
+            return code, capsys.readouterr().out, names
+
+        code, default, names = run()
+        code_on, spelled_out, names_on = run("--jit")
+        code_off, pinned, names_off = run("--no-jit")
+        assert code == code_on == code_off == 0
+        assert default == spelled_out == pinned
+        assert "jit.hits" in names and "jit.hits" in names_on
+        assert not any(name.startswith("jit.") for name in names_off)
+
 
 class TestProfile:
     def test_profile_prints_stage_breakdown(self, capsys):

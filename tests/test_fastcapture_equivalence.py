@@ -84,6 +84,7 @@ from repro.obs import ObsContext
 from repro.parallel import epoch_for, sliced_run
 from repro.toolkit import render_report
 from repro.workloads import build
+from tests.conftest import tap_wire
 
 SEED = 0xFA57_CA97
 
@@ -431,15 +432,7 @@ def _tapped(config, dut=XIANGSHAN_DEFAULT, source=WORKLOAD, image=None,
         fault_by_name(fault).install(cosim.dut.cores[0], trigger)
     if pin:
         _pin_objects(cosim)
-    wire = []
-    send_all = cosim.channel.send_all
-
-    def tap(transfers):
-        wire.extend(bytes(t.data) for t in transfers)
-        return send_all(transfers)
-
-    cosim.channel.send_all = tap
-    return cosim, wire
+    return cosim, tap_wire(cosim)
 
 
 def _run_tapped(config, max_cycles=60_000, **kwargs):
@@ -615,14 +608,17 @@ def test_recovery_restore_repoints_emitters_at_rebuilt_buffers():
 
 @pytest.mark.parametrize("config", SHIPPED_LADDER, ids=lambda c: c.name)
 def test_shipped_ladder_defaults_take_the_fast_tier(config):
-    """Every ladder config with its default ``replay`` runs
-    straight-to-wire: a future fallback reason cannot silently re-pin
-    what users get by default."""
-    assert config.replay  # the shipped default
+    """Every ladder config with its default ``replay`` and ``jit`` runs
+    straight-to-wire over compiled stepping: a future fallback reason or
+    bail condition cannot silently re-pin what users get by default."""
+    assert config.replay and config.jit  # the shipped defaults
     result, _, cosim = _run_tapped(config)
     assert result.passed
     assert result.stats.capture_fallbacks == ()
     assert cosim.dut.cores[0].monitor.fast_events > 0
+    # WORKLOAD loops 200 times: both harts leave the interpreter.
+    assert cosim.dut.cores[0].jit.stats.hits > 0
+    assert cosim.refs[0].hart.jit.stats.hits > 0
 
 
 @pytest.mark.parametrize("replay", [True, False])

@@ -198,26 +198,32 @@ def test_finished_run_is_freed_by_reference_counting(observed):
     """A co-simulation holds DUT and REF memory images and campaigns
     build hundreds of them, so nothing of it may sit in a reference cycle
     waiting for the cycle collector (peak RSS of a fuzz campaign; pool
-    workers run with the collector off).  The program is a fuzz seed
-    that traps: a caught trap kept in ``Hart.step``'s frame used to pin
-    the whole call stack, and the REF's compensation log its state."""
+    workers run with the collector off).  The first program is a fuzz
+    seed that traps: a caught trap kept in ``Hart.step``'s frame used to
+    pin the whole call stack, and the REF's compensation log its state.
+    The second loops, so both harts compile superblocks: a compiled
+    function left in the exec namespace that is its own ``__globals__``
+    used to pin both memories through the namespace's ``ML``/``MS``."""
     import gc
     import weakref
 
     from repro.core import CoSimulation
     from repro.events import ArchException
     from repro.obs import ObsContext
+    from repro.workloads import build
     from repro.workloads.fuzz import fuzz_workload
 
-    workload = fuzz_workload(2)
-    gc.disable()
-    try:
+    def still_alive_after(workload, looping):
         cosim = CoSimulation(XIANGSHAN_DEFAULT, CONFIG_BNSD, workload.image,
                              obs=ObsContext() if observed else None)
         result = cosim.run(workload.max_cycles)
         assert result.passed
-        assert result.stats.profile.counts[
-            ArchException.DESCRIPTOR.event_id] > 0
+        if looping:
+            assert cosim.dut.cores[0].jit.stats.blocks_compiled > 0
+            assert cosim.refs[0].hart.jit.stats.blocks_compiled > 0
+        else:
+            assert result.stats.profile.counts[
+                ArchException.DESCRIPTOR.event_id] > 0
         assert (cosim._capture is None) == observed
         held = {"cosim": cosim, "monitor": cosim.dut.cores[0].monitor,
                 "packer": cosim.packer, "ref memory": cosim.refs[0].memory,
@@ -226,7 +232,13 @@ def test_finished_run_is_freed_by_reference_counting(observed):
             held["capture engine"] = cosim._capture
         alive = {name: weakref.ref(obj) for name, obj in held.items()}
         del cosim, result, held
-        assert [name for name, ref in alive.items()
-                if ref() is not None] == []
+        return [name for name, ref in alive.items() if ref() is not None]
+
+    trapping = fuzz_workload(2)
+    looping = build("alu_hotloop", iterations=200)
+    gc.disable()
+    try:
+        assert still_alive_after(trapping, looping=False) == []
+        assert still_alive_after(looping, looping=True) == []
     finally:
         gc.enable()

@@ -1,11 +1,13 @@
 """JIT-vs-interpreter equivalence for the compiled-simulation tier.
 
 The contract of :mod:`repro.isa.jit` is *invisibility*: a run with the
-trace cache enabled must be byte-identical — same counters, same rendered
-report, same mismatch, same UART output — to the interpreted run, for
-every packer, for sliced execution, and for fault campaigns.  Every test
-here compares a JIT-on run against a freshly executed JIT-off reference
-(never against golden files), in the style of
+trace cache enabled must be byte-identical — same wire bytes, same
+counters, same rendered report, same mismatch, same UART output — to the
+interpreted run, for every packer, for sliced execution, and for fault
+campaigns.  The tier is on by default, so every reference run here pins
+the interpreter with an explicit ``jit=False``.  Every test compares a
+JIT-on run against a freshly executed JIT-off reference (never against
+golden files), in the style of
 ``test_codec_equivalence.py``: the interpreted path is the behavioural
 reference, the compiled path must match it bit for bit.
 
@@ -20,7 +22,12 @@ Coverage map:
 * trap boundaries: blocks never contain trap-capable instructions and
   ecall-heavy runs stay identical;
 * snapshot/restore and sliced-run byte-identity with the JIT enabled;
-* fault-injection runs forced to the interpreted DUT path.
+* fault-injection runs forced to the interpreted DUT path;
+* the store hazard: a DUT block never carries a store behind another
+  instruction, so refills and store-buffer flushes read the memory line
+  the interpreter reads (wide-commit groups, whole workloads);
+* the process-wide code cache: compile once per key, bind per run, no
+  state shared between runs that share code, bounded.
 """
 
 import random
@@ -37,6 +44,8 @@ from repro.core import (
 )
 from repro.dut import NUTSHELL, XIANGSHAN_DEFAULT, fault_by_name
 from repro.dut.snapshotting import restore_snapshot, take_snapshot
+from repro.events import DCacheRefill, SbufferFlush
+from repro.isa import jit as jit_module
 from repro.isa.assembler import assemble
 from repro.isa.const import DRAM_BASE
 from repro.isa.csr import MINSTRET
@@ -49,6 +58,7 @@ from repro.parallel import epoch_for, sliced_run
 from repro.ref.journal import CompensationLog
 from repro.toolkit import render_report
 from repro.workloads import build
+from tests.conftest import tap_wire
 
 SCRATCH = 0x8020_0000
 
@@ -162,22 +172,32 @@ def family_source(family: str, seed: int, length: int = 40,
     return "\n".join(lines)
 
 
+def tapped(dut, config, image, seed=2025, uart_input=b""):
+    """A co-simulation plus the list its wire transfers are copied to."""
+    cosim = CoSimulation(dut, config, image, seed=seed,
+                         uart_input=uart_input)
+    return cosim, tap_wire(cosim)
+
+
 def run_pair(image, max_cycles, config=CONFIG_BNSD, dut=NUTSHELL,
-             fault=None, trigger=0):
-    """One JIT-off and one JIT-on run of the same image; returns the
-    (off, on) results and the JIT-on CoSimulation for stats access.
-    Blocks compile on their third sighting so tiny programs engage."""
-    results = {}
+             fault=None, trigger=0, uart_input=b""):
+    """One JIT-off and one JIT-on run of the same image; asserts the two
+    put the same bytes on the wire and returns the (off, on) results and
+    the JIT-on CoSimulation for stats access.  Blocks compile on their
+    third sighting so tiny programs engage."""
+    results, wires = {}, {}
     on_sim = None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.isa.jit.DEFAULT_WARMUP", 2)
-        for label, cfg in (("off", config), ("on", config.with_(jit=True))):
-            cosim = CoSimulation(dut, cfg, image, seed=2025)
+        for label, jit in (("off", False), ("on", True)):
+            cosim, wires[label] = tapped(dut, config.with_(jit=jit), image,
+                                         uart_input=uart_input)
             if fault is not None:
                 fault_by_name(fault).install(cosim.dut.cores[0], trigger)
             results[label] = cosim.run(max_cycles)
             if label == "on":
                 on_sim = cosim
+    assert wires["off"] == wires["on"]
     return results["off"], results["on"], on_sim
 
 
@@ -218,8 +238,8 @@ class TestOpcodeFamilyStreams:
         workload = build("memory_churn", array_kb=8, passes=1)
         on = run_cosim(NUTSHELL, CONFIG_BNSD.with_(jit=True),
                        workload.image, max_cycles=4500, obs=ObsContext())
-        off = run_cosim(NUTSHELL, CONFIG_BNSD, workload.image,
-                        max_cycles=4500, obs=ObsContext())
+        off = run_cosim(NUTSHELL, CONFIG_BNSD.with_(jit=False),
+                        workload.image, max_cycles=4500, obs=ObsContext())
         assert on.metrics.value("jit.blocks_compiled") > 0
         assert on.metrics.value("jit.hits") > 0
         assert on.metrics.value("jit.steps") > 0
@@ -513,3 +533,189 @@ class TestFaultInjection:
                               dut=XIANGSHAN_DEFAULT,
                               fault="control_flow_wdata", trigger=400)
         assert_identical(off, on)
+
+
+# ----------------------------------------------------------------------
+# The store hazard: a store only ever leads a DUT batch
+# ----------------------------------------------------------------------
+
+def _hot_loop(*body: str, iterations: int = 200) -> bytes:
+    """``body`` in a counted loop over fresh 64-byte lines (``s0``
+    advances one line per iteration, ``t0`` counts down and is the value
+    stored, so every store changes its line)."""
+    return assemble("\n".join([
+        "_start:",
+        f"    li s0, {SCRATCH}",
+        f"    li t0, {iterations}",
+        "loop:",
+        *(f"    {line}" for line in body),
+        "    addi s0, s0, 64",
+        "    addi t0, t0, -1",
+        "    bnez t0, loop",
+        "    li a0, 0",
+        "    ebreak",
+    ]))
+
+
+#: Commit groups the batched hierarchy model used to get wrong.  Both
+#: put a store directly behind the instruction whose line data it
+#: changes, so a 6-wide group regularly holds the pair.
+HAZARDS = {
+    # The load misses a fresh D-cache line; the store then writes into
+    # it.  The refill must carry the line as it was between the two.
+    "load_miss_then_store": _hot_loop("ld t1, 0(s0)", "sd t0, 8(s0)"),
+    # The 16-entry store buffer holds the 16 most recently stored lines;
+    # with this pattern the oldest is always the line stored 8 iterations
+    # ago, so the first store (a fresh line) flushes exactly the line the
+    # second store then writes into.
+    "flushing_store_then_store": _hot_loop("sd t0, 0(s0)",
+                                           "sd t0, -504(s0)"),
+}
+
+
+class TestStoreHazard:
+    @pytest.mark.parametrize("hazard", sorted(HAZARDS))
+    def test_wide_commit_group_identity(self, hazard):
+        off, on, sim = run_pair(HAZARDS[hazard], max_cycles=20_000,
+                                dut=XIANGSHAN_DEFAULT)
+        assert off.passed and on.passed
+        assert_identical(off, on)
+        dut_stats = sim.dut.cores[0].jit.stats
+        ref_stats = sim.refs[0].hart.jit.stats
+        assert dut_stats.blocks_compiled > 0 and dut_stats.hits > 100
+        assert dut_stats.bailouts == 0
+        assert ref_stats.blocks_compiled > 0 and ref_stats.steps > 100
+        # The hazard was live: the group did hold refills / flushes.
+        counts = on.stats.profile.counts
+        event = DCacheRefill if hazard.startswith("load") else SbufferFlush
+        assert counts[event.DESCRIPTOR.event_id] > 100
+
+    @pytest.mark.parametrize("config", [CONFIG_BNSD, CONFIG_Z],
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("name", ["mini_os", "fib_recursive"])
+    def test_whole_workload_identity_on_wide_commit(self, name, config):
+        workload = build(name)
+        off, on, sim = run_pair(workload.image, workload.max_cycles,
+                                config=config, dut=XIANGSHAN_DEFAULT,
+                                uart_input=workload.uart_input)
+        assert off.passed and on.passed
+        assert_identical(off, on)
+        assert sim.dut.cores[0].jit.stats.hits > 0
+
+    def test_dut_blocks_hold_a_store_only_in_front(self):
+        image = assemble(family_source("load_store", seed=9))
+        stores = ("sb", "sh", "sw", "sd")
+        traces = {}
+        for mode in ("dut", "ref"):
+            bus = Bus(PhysicalMemory())
+            bus.memory.store_bytes(DRAM_BASE, image)
+            cache = TraceCache(bus, mode)
+            traces[mode] = [
+                [d.name for _, _, d in cache._trace(pc) or ()]
+                for pc in range(DRAM_BASE, DRAM_BASE + len(image), 4)]
+        assert any(names[0] in stores and len(names) > 1
+                   for names in traces["dut"] if names)
+        for names in traces["dut"]:
+            assert not set(names[1:]) & set(stores), names
+        # REF steppers run one instruction per call: blocks keep their
+        # full length, stores included.
+        assert any(set(names[1:]) & set(stores) for names in traces["ref"])
+        for dut_names, ref_names in zip(traces["dut"], traces["ref"]):
+            assert ref_names[:len(dut_names)] == dut_names
+
+
+# ----------------------------------------------------------------------
+# The process-wide code cache: compile once, bind per run
+# ----------------------------------------------------------------------
+
+def _jit_totals(cosim):
+    return [(c.stats.blocks_compiled, c.stats.hits, c.stats.steps,
+             c.stats.evictions, c.stats.bailouts)
+            for c in (cosim.dut.cores[0].jit, cosim.refs[0].hart.jit)]
+
+
+@pytest.fixture
+def cold_code_cache(monkeypatch):
+    """An empty code cache for the test (restored afterwards) and a
+    counter of the ``compile`` calls the tier makes."""
+    monkeypatch.setattr(jit_module, "_CODE_CACHE", {})
+    monkeypatch.setattr(jit_module, "DEFAULT_WARMUP", 2)
+    calls = []
+
+    def counting_compile(source, filename, mode):
+        calls.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(jit_module, "compile", counting_compile,
+                        raising=False)
+    return calls
+
+
+class TestCodeCache:
+    IMAGE = HAZARDS["load_miss_then_store"]
+
+    def _run(self, seed=2025):
+        cosim, wire = tapped(XIANGSHAN_DEFAULT, CONFIG_BNSD, self.IMAGE,
+                             seed=seed)
+        return cosim.run(20_000), wire, cosim
+
+    def test_second_run_of_an_image_only_binds(self, cold_code_cache):
+        first, first_wire, first_sim = self._run()
+        compiled = len(cold_code_cache)
+        assert compiled == len(jit_module._CODE_CACHE) > 0
+        assert len(set(cold_code_cache)) == compiled  # once per key
+        second, second_wire, second_sim = self._run()
+        assert len(cold_code_cache) == compiled
+        assert len(jit_module._CODE_CACHE) == compiled
+        # Counters say what this run installed and ran, not what the
+        # process had to compile for it.
+        assert _jit_totals(second_sim) == _jit_totals(first_sim)
+        assert _jit_totals(second_sim)[0][0] > 0
+        assert second_wire == first_wire
+        assert_identical(first, second)
+
+    def test_runs_sharing_code_share_no_state(self, cold_code_cache):
+        alone, alone_wire, alone_sim = self._run(seed=7)
+        jit_module._CODE_CACHE.clear()
+        self._run(seed=3)  # recompiles the code the next run binds
+        after, after_wire, after_sim = self._run(seed=7)
+        assert after_wire == alone_wire
+        assert_identical(alone, after)
+        assert _jit_totals(after_sim) == _jit_totals(alone_sim)
+
+    def test_interleaved_live_runs_stay_independent(self, cold_code_cache):
+        solo = {seed: self._run(seed=seed) for seed in (3, 7)}
+        live = {seed: tapped(XIANGSHAN_DEFAULT, CONFIG_BNSD, self.IMAGE,
+                             seed=seed) for seed in (3, 7)}
+        for until in range(100, 2001, 100):
+            for cosim, _ in live.values():
+                cosim.advance(until)
+        for seed, (cosim, wire) in live.items():
+            result = cosim.run(20_000)
+            reference, reference_wire, reference_sim = solo[seed]
+            assert result.passed
+            assert wire == reference_wire
+            assert_identical(reference, result)
+            assert _jit_totals(cosim) == _jit_totals(reference_sim)
+
+    def test_bounded_cache_stays_identical(self, cold_code_cache,
+                                           monkeypatch):
+        monkeypatch.setattr(jit_module, "MAX_CACHED_CODE", 8)
+        high_water = 0
+
+        class Watched(dict):
+            def __setitem__(self, key, value):
+                nonlocal high_water
+                super().__setitem__(key, value)
+                high_water = max(high_water, len(self))
+
+        monkeypatch.setattr(jit_module, "_CODE_CACHE", Watched())
+        for seed in range(6):
+            image = assemble(family_source("mixed", seed=100 + seed,
+                                           length=24, loops=6))
+            off, on, sim = run_pair(image, max_cycles=30_000)
+            assert off.exit_code == 0
+            assert_identical(off, on)
+            assert sim.dut.cores[0].jit.stats.hits > 0
+        assert len(cold_code_cache) > 8  # the sweep overflowed the bound
+        assert 0 < high_water <= 8

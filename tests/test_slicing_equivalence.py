@@ -210,7 +210,15 @@ class TestObsEquivalence:
                                obs=obs)
         sr = sliced(CONFIG_BNSD, slices=4, collect_metrics=True)
         assert sr.summary.metrics is not None
-        assert sr.summary.metrics.records() == result.metrics.records()
+        # ``jit.*`` counts what one process's trace caches compiled and
+        # ran: host-side tier diagnostics that depend on per-process
+        # warm-up (every slice worker re-warms its own blocks), so they
+        # cannot stitch and slice workers do not report them.  Everything
+        # else must merge to exactly the serial snapshot.
+        serial_records = [record for record in result.metrics.records()
+                          if not record.name.startswith("jit.")]
+        assert len(serial_records) < len(result.metrics.records())
+        assert sr.summary.metrics.records() == serial_records
         assert render_report(result.stats, snapshot=result.metrics) == \
             render_report(sr.stats, snapshot=sr.summary.metrics)
 
