@@ -319,7 +319,8 @@ def _cmd_run(args) -> int:
     status = "HIT GOOD TRAP" if result.passed else (
         "MISMATCH" if result.mismatch else f"exit={result.exit_code}")
     print(f"result   : {status} after {result.cycles} cycles / "
-          f"{result.instructions} instructions")
+          f"{result.instructions} instructions "
+          f"({result.stats.idle_cycles_skipped} idle cycles skipped)")
     if result.mismatch is not None:
         print(result.mismatch.describe())
         if result.debug_report is not None:
@@ -371,7 +372,8 @@ def _cmd_run_sliced(args) -> int:
     status = "HIT GOOD TRAP" if summary.passed else (
         "MISMATCH" if summary.mismatch else f"exit={summary.exit_code}")
     print(f"result   : {status} after {summary.cycles} cycles / "
-          f"{summary.instructions} instructions")
+          f"{summary.instructions} instructions "
+          f"({sr.stats.idle_cycles_skipped} idle cycles skipped)")
     if summary.mismatch is not None:
         print(summary.mismatch.describe())
         if summary.debug_report_text:

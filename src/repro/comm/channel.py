@@ -25,7 +25,7 @@ per-cycle ``gate_cycles`` term), not as queue pressure.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from ..obs import ObsContext, resolve_obs
 from .framing import FrameError, decode_frame, encode_frame
@@ -150,12 +150,8 @@ class ReliableChannel(Channel):
         self.retransmit_slots = retransmit_slots
         #: Packing scheme stamped into outgoing frame headers.
         self.packer_id = packer_id
-        #: Packing scheme of the most recently delivered frame (the
-        #: receiver dispatches its unpacker on this, so frames in flight
-        #: across a degradation still decode correctly).
-        self.last_packer_id = packer_id
         self._retransmit: "OrderedDict[int, bytes]" = OrderedDict()
-        self._reorder: Dict[int, Tuple[Transfer, int]] = {}
+        self._reorder: Dict[int, Transfer] = {}
         self._retry_counts: Dict[int, int] = {}
         self._next_seq = 0
         self._expected = 0
@@ -221,7 +217,7 @@ class ReliableChannel(Channel):
         while True:
             stashed = self._reorder.pop(self._expected, None)
             if stashed is not None:
-                return self._deliver(*stashed)
+                return self._deliver(stashed)
             if not self._frames:
                 if self._injector is not None:
                     released = self._injector.flush()
@@ -246,15 +242,14 @@ class ReliableChannel(Channel):
             transfer = Transfer(payload, items=header.items,
                                 bubbles=header.bubbles)
             if header.seq == self._expected:
-                return self._deliver(transfer, header.packer_id)
-            self._reorder[header.seq] = (transfer, header.packer_id)
+                return self._deliver(transfer)
+            self._reorder[header.seq] = transfer
 
-    def _deliver(self, transfer: Transfer, packer_id: int) -> Transfer:
+    def _deliver(self, transfer: Transfer) -> Transfer:
         seq = self._expected
         self._expected = seq + 1
         self._retransmit.pop(seq, None)
         self._retry_counts.pop(seq, None)
-        self.last_packer_id = packer_id
         self.consecutive_failures = 0
         return transfer
 

@@ -22,9 +22,9 @@ before it crosses the link:
 The CRC covers the header prefix *and* the payload, so a bit flip
 anywhere in the frame is detected.  ``items``/``bubbles`` ride in the
 header so the receiving side reconstructs a Transfer identical to the
-one the packer produced.  The ``packer_id`` lets a receiver that
-degraded its packing scheme mid-run still unpack frames that were in
-flight under the previous scheme.
+one the packer produced.  The ``packer_id`` names the scheme the payload
+was packed under; the framework resynchronises the link whenever it
+degrades the scheme, so frames of two schemes are never in flight at once.
 
 Framing is **off the fast path**: with ``reliable=False`` (the default)
 no frame is ever built and the wire format is byte-identical to the
@@ -51,7 +51,6 @@ HEADER_SIZE = PREFIX_SIZE + _CRC.size
 
 #: Wire ids of the packing schemes (``packer_id`` header field).
 PACKER_IDS = {"dpic": 0, "fixed": 1, "batch": 2}
-PACKER_NAMES = {wire_id: name for name, wire_id in PACKER_IDS.items()}
 
 
 class FrameError(ValueError):

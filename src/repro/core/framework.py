@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from ..comm.channel import Channel, LinkFailure, ReliableChannel
 from ..comm.fastcapture import FastCaptureEngine, fallback_reasons
-from ..comm.framing import PACKER_IDS, PACKER_NAMES
+from ..comm.framing import PACKER_IDS
 from ..comm.fusion.differencing import Completer
 from ..comm.fusion.squash import OrderCoupledFuser, SquashFuser
 from ..comm.linkfaults import FaultyLink, LinkFaultInjector
@@ -179,8 +179,6 @@ class CoSimulation:
         else:
             self.channel = Channel(nonblocking=diff_config.nonblocking,
                                    obs=self.obs)
-        self._unpacker_cache = {PACKER_IDS[diff_config.packing]:
-                                self.unpacker}
         #: Latest quiescent image a link failure can rewind to.
         self._recovery_point: Optional[BoundarySeed] = None
         self._last_recovery_cycle = 0
@@ -326,19 +324,32 @@ class CoSimulation:
             if held > self.stats.replay_buffer_peak:
                 self.stats.replay_buffer_peak = held
 
-    def _hardware_cycle(self) -> None:
+    def _arrive(self) -> None:
+        """Move the loop to the cycle the (lockstepped) cores stopped at,
+        before the trip sends anything a failure would stamp a cycle on."""
+        cycle = self.dut.cores[0].cycle_count
+        self.stats.idle_cycles_skipped += cycle - self._cycle - 1
+        self._cycle = cycle
+
+    def _hardware_cycle(self, limit: int) -> bool:
         """Event-object capture: monitors build events, the acceleration
-        unit fuses and packs them."""
+        unit fuses and packs them.  True when a transfer was sent."""
         fuse = self._fuse
-        for bundle in self._dut_cycle():
+        sent = False
+        bundles = self._dut_cycle(limit)
+        self._arrive()
+        for bundle in bundles:
             if not bundle.events:
                 continue
             self._record_bundle(bundle)
             items = fuse(bundle.events)
             if items:
-                self._send(self._pack(items))
+                transfers = self._pack(items)
+                self._send(transfers)
+                sent |= bool(transfers)
+        return sent
 
-    def _hardware_cycle_fast(self) -> None:
+    def _hardware_cycle_fast(self, limit: int) -> bool:
         """Straight-to-wire twin of :meth:`_hardware_cycle`: the monitors
         dispatch into the capture engine's compiled emitters, which
         append the raw replay record and serialise directly into the
@@ -348,20 +359,26 @@ class CoSimulation:
         engine = self._capture
         channel = self.channel
         stats = self.stats
+        sent = False
+        step = self.dut.lockstep(limit)
         for core, buffer in zip(self.dut.cores, self.replay_buffers):
             records = buffer.records
             mark = len(records)
             engine.begin_bundle()
-            core.cycle()
+            core.cycle(step)
             transfers = engine.end_bundle()
+            if core.core_id == 0:
+                self._arrive()
             if transfers:
                 channel.send_all(transfers)
+                sent = True
             if len(records) != mark:
                 # The emitters appended this bundle's records: bound and
                 # account the buffer as ``_record_bundle`` does.
                 held = buffer.enforce_bound()
                 if held > stats.replay_buffer_peak:
                     stats.replay_buffer_peak = held
+        return sent
 
     def _select_capture(self) -> None:
         """Choose the capture path and bind the loop's stages to it:
@@ -414,16 +431,10 @@ class CoSimulation:
     def _receive_items(self):
         """The receive+unpack stage: the next transfer's wire items, None
         when the channel is empty, :class:`LinkFailure` when it is lost."""
-        channel = self.channel
-        transfer = channel.receive()
+        transfer = self.channel.receive()
         if transfer is None:
             return None
         self.stats.counters.sw_dispatches += 1
-        if isinstance(channel, ReliableChannel):
-            # Frames carry the packing scheme they were encoded under, so
-            # frames in flight across a transport degradation still
-            # decode with the right unpacker.
-            return self._unpacker_for(channel.last_packer_id).unpack(transfer)
         return self.unpacker.unpack(transfer)
 
     def _drain(self) -> None:
@@ -490,13 +501,6 @@ class CoSimulation:
         if self.transport_error is None:
             self.transport_error = TransportError(
                 kind=kind, detail=detail, seq=seq, cycle=self._cycle)
-
-    def _unpacker_for(self, packer_id: int):
-        unpacker = self._unpacker_cache.get(packer_id)
-        if unpacker is None:
-            _packer, unpacker = self._build_packing(PACKER_NAMES[packer_id])
-            self._unpacker_cache[packer_id] = unpacker
-        return unpacker
 
     def _transport_quiescent(self) -> bool:
         """True when every event produced so far has been checked."""
@@ -567,10 +571,8 @@ class CoSimulation:
         self.packer, self.unpacker = self._build_packing(
             self.diff_config.packing)
         self.packer.stats = old_stats
-        packer_id = PACKER_IDS[self.diff_config.packing]
-        self._unpacker_cache[packer_id] = self.unpacker
         if isinstance(self.channel, ReliableChannel):
-            self.channel.packer_id = packer_id
+            self.channel.packer_id = PACKER_IDS[self.diff_config.packing]
         if self._capture is not None:
             # Re-point the capture engine at the fresh packer (and, on a
             # recovery restore, the rebuilt fuser and replay buffers —
@@ -687,8 +689,13 @@ class CoSimulation:
         """Drive the pipeline to cycle ``until`` — or to the program's
         end, a mismatch or a transport error, whichever comes first.
 
-        The one per-cycle loop: hardware half, software drain, slice-epoch
-        barrier and quiescent image when due.  A :class:`LinkFailure`
+        The one loop.  A trip runs the hardware half to the next cycle
+        with work (:meth:`DutCore.cycle` consumes the idle ones) or to the
+        horizon: ``until``, the next slice-epoch multiple, or the cycle an
+        image is due (the next one while an overdue image awaits
+        quiescence).  It drains only after a trip that *sent*: a dropped
+        frame leaves the queue empty until ``receive()`` recovers it.  Then
+        the barrier and the image when due.  A :class:`LinkFailure`
         from any step rewinds to the latest recovery point (``_cycle``
         moves back, the loop carries on) or ends the run with a transport
         error.  Callable repeatedly with growing targets: forward
@@ -706,13 +713,18 @@ class CoSimulation:
         finished = self.dut.finished
         while (self._cycle < until and self.mismatch is None
                and self.transport_error is None and not finished()):
-            self._cycle += 1
+            cycle = self._cycle
+            horizon = until
+            if epoch:
+                horizon = min(horizon, cycle - cycle % epoch + epoch)
+            if interval:
+                horizon = min(horizon, max(
+                    self._last_recovery_cycle + interval, cycle + 1))
             try:
-                if self._capture is not None:
-                    self._hardware_cycle_fast()
-                else:
-                    self._hardware_cycle()
-                self._drain()
+                half = (self._hardware_cycle if self._capture is None
+                        else self._hardware_cycle_fast)
+                if half(horizon - cycle):  # the trip sent something
+                    self._drain()
                 if epoch and self._cycle % epoch == 0:
                     self._epoch_barrier()
                 if (interval and self._cycle - self._last_recovery_cycle
@@ -750,15 +762,16 @@ class CoSimulation:
         self._finish_transport()
         return self._finish()
 
-    def _fold_jit_stats(self, registry) -> None:
-        """Fold trace-cache counters into the metric registry.
+    def _fold_host_diagnostics(self, registry) -> None:
+        """Fold host-side diagnostics: trace caches, idle cycles skipped.
 
         Counters are only emitted when nonzero, so a JIT-off (or
         never-warm) observed run snapshots identically to one without
         the tier at all.
         """
         totals = {"jit.blocks_compiled": 0, "jit.hits": 0, "jit.steps": 0,
-                  "jit.evictions": 0, "jit.bailouts": 0}
+                  "jit.evictions": 0, "jit.bailouts": 0,
+                  "dut.idle_cycles_skipped": self.stats.idle_cycles_skipped}
         for cache in self._jit_caches:
             stats = cache.stats
             totals["jit.blocks_compiled"] += stats.blocks_compiled
@@ -815,7 +828,7 @@ class CoSimulation:
                 self.packer.stats.fold_into(registry)
                 if self.fuser is not None:
                     self.fuser.stats.fold_into(registry)
-                self._fold_jit_stats(registry)
+                self._fold_host_diagnostics(registry)
             metrics = registry.snapshot()
         return RunResult(
             exit_code=self.dut.exit_code(),

@@ -140,8 +140,9 @@ class SnapshotCoSimulation(CoSimulation):
         rerun_events = 0
         budget = (trigger.cycle or 0) - image.cycle_taken + 10_000
         while localized is None and rerun_cycles < budget:
-            rerun_cycles += 1
-            for bundle in self.dut.cycle():
+            bundles = self.dut.cycle(budget - rerun_cycles)
+            rerun_cycles = bundles[0].cycle - image.cycle_taken
+            for bundle in bundles:
                 for event in bundle.events:
                     rerun_events += 1
                     localized = checkers[bundle.core_id].process(event)

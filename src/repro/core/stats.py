@@ -68,6 +68,8 @@ class RunStats:
     #: Why the straight-to-wire capture tier was ineligible for this
     #: run — e.g. ("obs", "faults"); empty for an eligible run.
     capture_fallbacks: tuple = ()
+    #: Cycles advanced without a loop trip; horizon-dependent, so not compared.
+    idle_cycles_skipped: int = field(default=0, compare=False)
 
     @property
     def bytes_per_cycle(self) -> float:
@@ -113,6 +115,7 @@ class RunStats:
         self.backpressure_events += other.backpressure_events
         self.checkpoints += other.checkpoints
         self.link_recoveries += other.link_recoveries
+        self.idle_cycles_skipped += other.idle_cycles_skipped
         if other.max_queue_occupancy > self.max_queue_occupancy:
             self.max_queue_occupancy = other.max_queue_occupancy
         if other.replay_buffer_peak > self.replay_buffer_peak:

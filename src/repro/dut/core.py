@@ -128,22 +128,40 @@ class DutCore:
         return self._rng.randint(1, self.config.commit_width)
 
     # ------------------------------------------------------------------
-    def cycle(self) -> CycleBundle:
-        """Advance one clock cycle; returns the captured events."""
-        self.cycle_count += 1
+    def cycle(self, limit: int = 1) -> CycleBundle:
+        """Advance to the next clock cycle that has work, or ``limit``
+        cycles, whichever comes first; returns that cycle's events.
+
+        Idle cycles on the way build no bundle: a miss-penalty stall (no
+        RNG there) goes in one step, zero-budget cycles still tick the
+        CLINT, resample the interrupt lines and draw one by one, so all
+        state evolves exactly as under ``limit=1``.
+        """
+        if self.finished is not None:
+            self.cycle_count += limit
+            return CycleBundle(self.cycle_count, self.core_id,
+                               trap_finish=self.finished)
+        clint = self.clint if self.core_id == 0 else None
+        stall = min(self._stall, limit)
+        if stall:
+            self._stall -= stall
+            self.cycle_count += stall
+            if clint is not None:
+                clint.tick(stall)
+            limit -= stall
+            if not limit:
+                return CycleBundle(self.cycle_count, self.core_id)
+        while True:
+            self.cycle_count += 1
+            if clint is not None:
+                clint.tick()
+            self._update_interrupt_lines()
+            budget = self._commit_budget()
+            if budget or limit == 1:
+                break
+            limit -= 1
         bundle = CycleBundle(self.cycle_count, self.core_id)
         fast_mark = self.monitor.fast_events
-        if self.finished is not None:
-            bundle.trap_finish = self.finished
-            return bundle
-        if self.clint is not None and self.core_id == 0:
-            self.clint.tick()
-        if self._stall > 0:
-            self._stall -= 1
-            return bundle
-        self._update_interrupt_lines()
-
-        budget = self._commit_budget()
         events = bundle.events
         # Compiled-simulation tier (repro.isa.jit): eligible only while no
         # fault is armed and no hooks are installed — injected bugs must
@@ -293,9 +311,19 @@ class DutSystem:
     def load_image(self, image: bytes, base: int = DRAM_BASE) -> None:
         self.memory.store_bytes(base, image)
 
-    def cycle(self) -> List[CycleBundle]:
-        """Advance all cores one cycle; returns one bundle per core."""
-        return [core.cycle() for core in self.cores]
+    def lockstep(self, limit: int) -> int:
+        """Cycles (<= ``limit``) all cores can take at once in lockstep: a
+        lone core stops itself, several share only a common stall."""
+        if len(self.cores) == 1:
+            return limit
+        return max(1, min([limit] + [core._stall for core in self.cores
+                                     if core.finished is None]))
+
+    def cycle(self, limit: int = 1) -> List[CycleBundle]:
+        """Advance all cores together (see :meth:`DutCore.cycle`); returns
+        one bundle per core."""
+        step = self.lockstep(limit)
+        return [core.cycle(step) for core in self.cores]
 
     def finished(self) -> bool:
         return all(core.finished is not None for core in self.cores)

@@ -217,8 +217,7 @@ def _reconstruct_boundaries(dut_config, image: bytes, *, seed: int,
         if boundary >= max_cycles:
             return
         while cycle < boundary and not dut.finished():
-            dut.cycle()
-            cycle += 1
+            cycle = dut.cycle(boundary - cycle)[0].cycle
         if dut.finished():
             return
         yield cycle, BoundarySeed(

@@ -173,20 +173,49 @@ class TestSeedStability:
 
 
 def test_one_run_loop():
-    """The per-cycle loop is spelled once: a single site in ``src/``
-    advances ``_cycle``, and the forks it replaced stay deleted."""
+    """The run loop is spelled once: a single ``while`` in
+    ``core/framework.py`` walks ``_cycle`` forward (in ``advance``, via
+    the one ``_arrive`` site that takes the cycle from the cores), the
+    slicing and snapshot layers drive that loop instead of owning one,
+    and the forks it replaced stay deleted."""
+    import ast
     import pathlib
 
     import repro
     from repro.core import CoSimulation
 
     source = pathlib.Path(repro.__file__).parent
-    sites = [f"{path.relative_to(source)}:{number}"
-             for path in sorted(source.rglob("*.py"))
-             for number, line in enumerate(path.read_text().splitlines(), 1)
-             if "_cycle += 1" in line]
-    assert len(sites) == 1, sites
-    assert sites[0].startswith("core/framework.py:"), sites
+
+    def cycle_sites(relative):
+        """(loops whose condition reads ``_cycle``, functions that assign
+        ``<obj>._cycle``) in one source file, by enclosing function."""
+        loops, writers = [], []
+        tree = ast.parse((source / relative).read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.While) and any(
+                        isinstance(part, ast.Attribute)
+                        and part.attr == "_cycle"
+                        for part in ast.walk(node.test)):
+                    loops.append(function.name)
+                if isinstance(node, (ast.Assign, ast.AugAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    if any(isinstance(target, ast.Attribute)
+                           and target.attr == "_cycle"
+                           for target in targets):
+                        writers.append(function.name)
+        return loops, writers
+
+    loops, writers = cycle_sites("core/framework.py")
+    assert loops == ["advance"], loops
+    # Construction, the forward step and the recovery rewind: nothing
+    # else moves the loop's clock.
+    assert sorted(writers) == ["__init__", "_arrive", "_rewind"], writers
+    for other in ("parallel/slicing.py", "core/snapshot.py"):
+        assert cycle_sites(other) == ([], []), other
     for name in ("_run_resilient", "_hardware_cycle_obs",
                  "_software_drain_legacy", "_software_drain_obs",
                  "_drain_resilient"):

@@ -213,10 +213,13 @@ class TestObsEquivalence:
         # ``jit.*`` counts what one process's trace caches compiled and
         # ran: host-side tier diagnostics that depend on per-process
         # warm-up (every slice worker re-warms its own blocks), so they
-        # cannot stitch and slice workers do not report them.  Everything
-        # else must merge to exactly the serial snapshot.
-        serial_records = [record for record in result.metrics.records()
-                          if not record.name.startswith("jit.")]
+        # cannot stitch and slice workers do not report them; the same
+        # goes for ``dut.idle_cycles_skipped``, which counts loop trips
+        # saved, not simulation.  Everything else must merge to exactly
+        # the serial snapshot.
+        serial_records = [
+            record for record in result.metrics.records()
+            if not record.name.startswith(("jit.", "dut.idle_cycles_"))]
         assert len(serial_records) < len(result.metrics.records())
         assert sr.summary.metrics.records() == serial_records
         assert render_report(result.stats, snapshot=result.metrics) == \
