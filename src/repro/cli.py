@@ -6,9 +6,6 @@ Mirrors the artifact's make-target workflow:
                  (the artifact's ``make pldm-run`` / ``make fpga-run``).
 * ``ladder``   — the Table 5 optimisation breakdown for one DUT.
 * ``inject``   — seed a catalogue bug and show the Replay debug report.
-* ``linkfault``— resilience campaign: link faults against the framed,
-                 reliable transport (recovered / structured transport
-                 error, never a spurious mismatch).
 * ``fuzz``     — differential fuzzing with random programs.
 * ``profile``  — instrumented run: per-stage span breakdown plus the
                  registry counter report (``repro.obs``).
@@ -46,8 +43,6 @@ from .service.catalog import SUBMISSION_KINDS
 from .service.render import (
     fuzz_footer_lines,
     fuzz_job_lines,
-    linkfault_footer_lines,
-    linkfault_job_lines,
     render_ladder,
 )
 from .toolkit import render_event_profile, render_report, \
@@ -166,36 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     inject.add_argument("--dut", default="xiangshan", choices=sorted(_DUTS))
     inject.add_argument("--config", default="EBINSD",
                         choices=sorted(_CONFIGS))
-
-    linkfault = sub.add_parser(
-        "linkfault",
-        help="resilience campaign: inject link faults against the "
-             "framed, reliable transport")
-    linkfault.add_argument("--workload", default="microbench",
-                           help=f"one of: {', '.join(available())}")
-    linkfault.add_argument("--dut", default="xiangshan",
-                           choices=sorted(_DUTS))
-    linkfault.add_argument("--config", default="EBINSD",
-                           choices=sorted(_CONFIGS))
-    linkfault.add_argument(
-        "--faults", default="all",
-        help="'all' or a comma-separated list of link-fault names "
-             "(see repro.comm.LINK_FAULT_CATALOGUE)")
-    linkfault.add_argument(
-        "--packers", default="",
-        help="comma-separated packing schemes to sweep (dpic, fixed, "
-             "batch); default: the config's own scheme")
-    linkfault.add_argument("--rate", type=float, default=0.0,
-                           help="per-transmission fault probability")
-    linkfault.add_argument(
-        "--trigger", type=int, default=0,
-        help="positional one-shot: fire at this transmission index "
-             "(used when --rate is 0)")
-    linkfault.add_argument("--link-seed", type=int, default=2025)
-    linkfault.add_argument("--max-cycles", type=int, default=None)
-    _add_workers_flag(linkfault)
-    _add_supervision_flags(linkfault)
-    _add_obs_flags(linkfault)
 
     fuzz = sub.add_parser("fuzz", help="differential fuzzing")
     fuzz.add_argument("--seeds", type=int, default=10)
@@ -446,57 +411,6 @@ def _cmd_inject(args) -> int:
     if result.debug_report is not None:
         print(result.debug_report.render())
     return 0
-
-
-def _cmd_linkfault(args) -> int:
-    from .comm.linkfaults import LINK_FAULT_CATALOGUE, link_fault_by_name
-    from .core import ReliabilityConfig
-    from .parallel import LinkFaultCase, linkfault_campaign
-
-    workload = build(args.workload)
-    dut = _DUTS[args.dut]
-    config = _CONFIGS[args.config].with_(
-        reliability=ReliabilityConfig(reliable=True))
-    if args.faults == "all":
-        fault_names = [spec.name for spec in LINK_FAULT_CATALOGUE]
-    else:
-        fault_names = [name.strip() for name in args.faults.split(",")]
-        for name in fault_names:
-            try:
-                link_fault_by_name(name)
-            except KeyError as exc:
-                print(exc.args[0])
-                return 1
-    packers = ([name.strip() for name in args.packers.split(",")]
-               if args.packers else [""])
-    trigger = None if args.rate > 0.0 else args.trigger
-    cases = [
-        LinkFaultCase(fault=fault, image=workload.image, rate=args.rate,
-                      trigger=trigger, link_seed=args.link_seed,
-                      max_cycles=args.max_cycles or workload.max_cycles,
-                      label=(f"{fault}/{packing}" if packing else fault),
-                      packing=packing)
-        for fault in fault_names
-        for packing in packers
-    ]
-
-    def report(job) -> None:
-        for line in linkfault_job_lines(job):
-            print(line)
-
-    obs = ObsContext() if args.trace_out else None
-    campaign = linkfault_campaign(cases, dut, config, workers=args.workers,
-                                  on_result=report,
-                                  collect_metrics=bool(args.metrics_out),
-                                  obs=obs,
-                                  supervision=_supervision_from(args))
-    spurious = [job for job in campaign.jobs
-                if job.ok and job.summary.mismatch is not None]
-    broken = [job for job in campaign.jobs if not job.ok]
-    for line in linkfault_footer_lines(campaign):
-        print(line)
-    _export_obs(obs, campaign.aggregate_metrics(), args)
-    return 1 if (spurious or broken) else 0
 
 
 def _cmd_fuzz(args) -> int:
@@ -776,7 +690,6 @@ _COMMANDS = {
     "profile": _cmd_profile,
     "ladder": _cmd_ladder,
     "inject": _cmd_inject,
-    "linkfault": _cmd_linkfault,
     "fuzz": _cmd_fuzz,
     "sweep": _cmd_sweep,
     "workloads": _cmd_workloads,

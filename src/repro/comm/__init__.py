@@ -1,29 +1,7 @@
 """Communication substrate: LogGP model, platforms, channels, packing, fusion."""
 
 from . import fusion, packing
-from .channel import Channel, LinkFailure, ReliableChannel
-from .framing import (
-    FRAME_VERSION,
-    HEADER_SIZE,
-    MAGIC,
-    FrameCrcError,
-    FrameError,
-    FrameHeader,
-    FrameMagicError,
-    FrameTruncatedError,
-    FrameVersionError,
-    decode_frame,
-    encode_frame,
-)
-from .linkfaults import (
-    LINK_FAULT_CATALOGUE,
-    LINK_FAULT_KINDS,
-    FaultyLink,
-    LinkFaultInjector,
-    LinkFaultPlan,
-    LinkFaultSpec,
-    link_fault_by_name,
-)
+from .channel import Channel
 from .loggp import CommCounters, OverheadBreakdown, model_overhead
 from .platform import (
     ALL_PLATFORMS,
@@ -37,26 +15,6 @@ __all__ = [
     "fusion",
     "packing",
     "Channel",
-    "LinkFailure",
-    "ReliableChannel",
-    "FRAME_VERSION",
-    "HEADER_SIZE",
-    "MAGIC",
-    "FrameCrcError",
-    "FrameError",
-    "FrameHeader",
-    "FrameMagicError",
-    "FrameTruncatedError",
-    "FrameVersionError",
-    "decode_frame",
-    "encode_frame",
-    "LINK_FAULT_CATALOGUE",
-    "LINK_FAULT_KINDS",
-    "FaultyLink",
-    "LinkFaultInjector",
-    "LinkFaultPlan",
-    "LinkFaultSpec",
-    "link_fault_by_name",
     "CommCounters",
     "OverheadBreakdown",
     "model_overhead",

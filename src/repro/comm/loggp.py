@@ -41,14 +41,6 @@ class CommCounters:
     sw_events_checked: int = 0  # verification events processed
     sw_bytes_checked: int = 0  # payload bytes compared against the REF
     sw_ref_steps: int = 0  # REF instructions stepped
-    # Resilient-transport counters (all zero when reliability is off).
-    link_crc_errors: int = 0  # frames rejected by CRC/framing validation
-    link_retransmits: int = 0  # retransmission attempts
-    link_frames_dropped: int = 0  # distinct frames detected as lost
-    link_duplicates: int = 0  # duplicate frames discarded
-    link_resets: int = 0  # link resets observed
-    link_degradations: int = 0  # transport degradation steps taken
-    link_recovery_us: float = 0.0  # modeled backoff spent recovering
 
     def merge(self, other: "CommCounters") -> None:
         self.cycles += other.cycles
@@ -59,13 +51,6 @@ class CommCounters:
         self.sw_events_checked += other.sw_events_checked
         self.sw_bytes_checked += other.sw_bytes_checked
         self.sw_ref_steps += other.sw_ref_steps
-        self.link_crc_errors += other.link_crc_errors
-        self.link_retransmits += other.link_retransmits
-        self.link_frames_dropped += other.link_frames_dropped
-        self.link_duplicates += other.link_duplicates
-        self.link_resets += other.link_resets
-        self.link_degradations += other.link_degradations
-        self.link_recovery_us += other.link_recovery_us
 
 
 @dataclass(frozen=True)
@@ -78,10 +63,6 @@ class OverheadBreakdown:
     software_us: float
     total_us: float
     cycles: int
-    #: Link-recovery time (retransmit round trips + backoff).  Always
-    #: serialised — a retransmission is a stall on the critical path —
-    #: so it adds to the total even in non-blocking mode.
-    recovery_us: float = 0.0
 
     @property
     def speed_khz(self) -> float:
@@ -108,7 +89,6 @@ class OverheadBreakdown:
             "startup": self.startup_us / total,
             "transmission": self.transmission_us / total,
             "software": self.software_us / total,
-            "recovery": self.recovery_us / total,
         }
 
 
@@ -130,15 +110,9 @@ def model_overhead(platform, gates_millions: float, counters: CommCounters,
         + counters.sw_events_checked * platform.check_event_us
         + counters.sw_bytes_checked * platform.check_byte_us
     )
-    # Link recovery is a stall: the receiver cannot make progress until
-    # the missing frame arrives, so backoff plus one extra synchronous
-    # round trip per retransmission is serialised onto the total even
-    # when the healthy phases pipeline.
-    recovery_us = (counters.link_recovery_us
-                   + counters.link_retransmits * platform.t_sync_us)
     if nonblocking:
         hw_link_us = startup_us * platform.nb_factor + transmission_us
-        total_us = max(dut_us, hw_link_us, software_us) + recovery_us
+        total_us = max(dut_us, hw_link_us, software_us)
         # Report the phase costs as experienced (post-overlap) for the
         # breakdown: only the critical path shows residual overhead.
         return OverheadBreakdown(
@@ -148,10 +122,8 @@ def model_overhead(platform, gates_millions: float, counters: CommCounters,
             software_us=software_us,
             total_us=total_us,
             cycles=counters.cycles,
-            recovery_us=recovery_us,
         )
-    total_us = dut_us + startup_us + transmission_us + software_us \
-        + recovery_us
+    total_us = dut_us + startup_us + transmission_us + software_us
     return OverheadBreakdown(
         dut_us=dut_us,
         startup_us=startup_us,
@@ -159,5 +131,4 @@ def model_overhead(platform, gates_millions: float, counters: CommCounters,
         software_us=software_us,
         total_us=total_us,
         cycles=counters.cycles,
-        recovery_us=recovery_us,
     )

@@ -36,11 +36,9 @@ class TransferDecodeError(ValueError):
     contract: a structured error that names the packing ``scheme``, the
     byte ``offset`` at which decoding failed, and the ``expected`` /
     ``actual`` byte counts involved.  Subclasses ``ValueError`` so
-    existing truncation-handling call sites keep working.
-
-    In resilient-transport mode the framework converts this into a
-    structured transport error (the link corrupted the bytes); on a
-    healthy link it indicates a packer/unpacker protocol bug.
+    existing truncation-handling call sites keep working.  The
+    co-simulation lets it propagate: it indicates a packer/unpacker
+    protocol bug.
     """
 
     def __init__(self, scheme: str, message: str, *, offset: int,

@@ -208,10 +208,6 @@ class BatchPacker(Packer):
             return []
         return [self._close_frame()]
 
-    @property
-    def pending_bytes(self) -> int:
-        return self._pos - FRAME_HEADER_SIZE
-
 
 class BatchUnpacker(Unpacker):
     """Meta-guided dynamic unpacking (Figure 6, right).

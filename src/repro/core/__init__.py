@@ -1,6 +1,6 @@
 """The DiffTest-H framework: configuration, checker, replay, orchestration."""
 
-from .checker import Checker, CheckerProtocolError, classify_stream_error
+from .checker import Checker, CheckerProtocolError
 from .config import (
     CONFIG_B,
     CONFIG_BN,
@@ -9,13 +9,11 @@ from .config import (
     CONFIG_FIXED,
     CONFIG_Z,
     LADDER,
-    RELIABILITY_OFF,
     DiffConfig,
-    ReliabilityConfig,
 )
 from .framework import BoundarySeed, CoSimulation, RunResult, run_cosim
 from .replay import ReplayBuffer, ReplayUnit
-from .report import DebugReport, Mismatch, TransportError
+from .report import DebugReport, Mismatch
 from .snapshot import (
     SnapshotCoSimulation,
     SnapshotDebugCosts,
@@ -36,10 +34,6 @@ from .summary import (
 __all__ = [
     "Checker",
     "CheckerProtocolError",
-    "classify_stream_error",
-    "RELIABILITY_OFF",
-    "ReliabilityConfig",
-    "TransportError",
     "CONFIG_B",
     "CONFIG_BN",
     "CONFIG_BNSD",

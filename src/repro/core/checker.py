@@ -22,13 +22,11 @@ Event handling rules:
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Optional, Tuple
 
 from .. import events as EV
-from ..comm.framing import FrameError
 from ..comm.loggp import CommCounters
-from ..comm.packing.base import TransferDecodeError, WireItem
+from ..comm.packing.base import WireItem
 from ..obs import ObsContext, resolve_obs
 from ..isa import csr as CSR
 from ..isa.const import PTE_A, PTE_D
@@ -38,34 +36,8 @@ from .report import Mismatch
 
 
 class CheckerProtocolError(Exception):
-    """The event stream violated ordering invariants.
-
-    On a healthy transport this is a framework bug, not a DUT bug.  On a
-    resilient run it usually means link corruption slipped past framing
-    (or none was enabled): the framework classifies it — via
-    :func:`classify_stream_error` — as a *transport* error, keeping it
-    distinct from a genuine DUT mismatch.
-    """
-
-
-def classify_stream_error(exc: BaseException) -> str:
-    """Name the transport-error class of a stream-level exception.
-
-    Used by the resilient software drain to attribute corruption that
-    surfaced past the link layer: decode failures in an unpacker
-    (``"decode"``), framing violations (``"frame"``), checker ordering
-    violations (``"protocol"``), short or garbage payloads
-    (``"payload"``), and anything else stream-shaped (``"stream"``).
-    """
-    if isinstance(exc, TransferDecodeError):
-        return "decode"
-    if isinstance(exc, FrameError):
-        return "frame"
-    if isinstance(exc, CheckerProtocolError):
-        return "protocol"
-    if isinstance(exc, struct.error):
-        return "payload"
-    return "stream"
+    """The event stream violated ordering invariants: a framework bug,
+    not a DUT bug."""
 
 
 #: Permission bits compared for TLB fills (A/D are excluded: they mutate

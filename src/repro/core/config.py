@@ -16,43 +16,6 @@ from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
-class ReliabilityConfig:
-    """Resilient-transport knobs (framing, retransmission, degradation).
-
-    With ``reliable=False`` (the default) the transport is the plain
-    :class:`~repro.comm.channel.Channel` and the wire format is
-    byte-identical to the unframed fast path — reliability machinery is
-    entirely off the hot loop.  With ``reliable=True`` every transfer is
-    wrapped in a CRC32-protected frame and the run survives link faults
-    by retransmission, transport degradation and snapshot recovery.
-    """
-
-    #: Enable framed transport with CRC/seq validation and retransmit.
-    reliable: bool = False
-    #: Retransmissions attempted per frame before declaring it lost.
-    max_retries: int = 6
-    #: First-retry backoff charged to the time model (doubles per retry).
-    backoff_base_us: float = 50.0
-    #: Cap on the per-retry backoff.
-    backoff_cap_us: float = 10_000.0
-    #: Sender-side retransmit buffer depth (frames).
-    retransmit_slots: int = 64
-    #: Consecutive unrecoverable failures before stepping down the
-    #: degradation ladder (configured packing -> per-event -> blocking).
-    degrade_after: int = 2
-    #: Recover unrecoverable link resets from the latest DUT snapshot.
-    snapshot_recovery: bool = True
-    #: Cycles between transport recovery points (quiescent boundaries).
-    recovery_interval: int = 2000
-    #: Snapshot restores allowed before giving up with a transport error.
-    max_recoveries: int = 8
-
-
-#: The default: reliability machinery fully disabled.
-RELIABILITY_OFF = ReliabilityConfig()
-
-
-@dataclass(frozen=True)
 class DiffConfig:
     """Which communication optimisations are enabled."""
 
@@ -67,9 +30,6 @@ class DiffConfig:
     frame_size: int = 4096
     checkpoint_interval: int = 256  # slots between REF checkpoints
     replay_buffer_slots: int = 4096
-    #: Resilient-transport settings; ``RELIABILITY_OFF`` keeps the wire
-    #: format and hot path identical to the unframed transport.
-    reliability: ReliabilityConfig = RELIABILITY_OFF
     #: Cycles between slice-epoch barriers (0 = none).  At each multiple
     #: the framework flushes and drains the transport, re-keys the
     #: differencing stream and checkpoints the REF, making the cycle a

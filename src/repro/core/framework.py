@@ -12,17 +12,14 @@ and measures every communication quantity the LogGP model needs.
 
 from __future__ import annotations
 
-import struct
 import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..comm.channel import Channel, LinkFailure, ReliableChannel
+from ..comm.channel import Channel
 from ..comm.fastcapture import FastCaptureEngine, fallback_reasons
-from ..comm.framing import PACKER_IDS
 from ..comm.fusion.differencing import Completer
 from ..comm.fusion.squash import OrderCoupledFuser, SquashFuser
-from ..comm.linkfaults import FaultyLink, LinkFaultInjector
 from ..comm.loggp import OverheadBreakdown
 from ..comm.packing import (
     BatchPacker,
@@ -45,10 +42,10 @@ from ..isa.devices import CLINT_BASE, CLINT_SIZE, PLIC_BASE, PLIC_SIZE, \
     UART_BASE, UART_SIZE
 from ..obs import MetricsSnapshot, ObsContext, record_run_stats, resolve_obs
 from ..ref.model import RefModel
-from .checker import Checker, CheckerProtocolError, classify_stream_error
+from .checker import Checker
 from .config import DiffConfig
 from .replay import ReplayBuffer, ReplayUnit
-from .report import DebugReport, Mismatch, TransportError
+from .report import DebugReport, Mismatch
 from .stats import RunStats
 from .summary import RunSummary, summarize_result
 
@@ -73,14 +70,10 @@ class RunResult:
     instructions: int
     #: Registry snapshot when the run was observed (None when obs is off).
     metrics: Optional[MetricsSnapshot] = None
-    #: Unrecoverable link failure, when the run died of the transport
-    #: rather than of the DUT (mutually exclusive with a real mismatch).
-    transport_error: Optional[TransportError] = None
 
     @property
     def passed(self) -> bool:
-        return (self.mismatch is None and self.transport_error is None
-                and self.exit_code == 0)
+        return self.mismatch is None and self.exit_code == 0
 
     def breakdown(self, platform, gates_millions: float,
                   nonblocking: bool) -> OverheadBreakdown:
@@ -107,14 +100,6 @@ class BoundarySeed:
     refs: Optional[List[RefModel]] = None
 
 
-#: Stream-level corruption a resilient drain converts to a structured
-#: transport error: decode failures (TransferDecodeError and FrameError
-#: are ValueErrors), short/garbage payloads (struct.error), out-of-range
-#: ids (LookupError) and ordering violations (CheckerProtocolError).
-_STREAM_ERRORS = (ValueError, struct.error, LookupError,
-                  CheckerProtocolError)
-
-
 def _unfused(events) -> List[WireItem]:
     """The fuse stage of a pipeline without Squash: one item per event."""
     return [WireItem.from_event(event) for event in events]
@@ -132,7 +117,6 @@ class CoSimulation:
         uart_input: bytes = b"",
         base: int = DRAM_BASE,
         obs: Optional[ObsContext] = None,
-        link: Optional[LinkFaultInjector] = None,
     ) -> None:
         self.dut_config = dut_config
         self.diff_config = diff_config
@@ -156,40 +140,14 @@ class CoSimulation:
                                 if dut_config.event_enabled(cls.__name__)]
         self.packer, self.unpacker = self._build_packing(diff_config.packing)
 
-        reliability = diff_config.reliability
-        #: Reliability is enabled or a link-fault injector is installed:
-        #: the drain classifies stream corruption as a transport error and
-        #: the loop keeps recovery points.  A plain run keeps the unframed
-        #: wire format and lets stream errors propagate.
-        self._resilient = bool(reliability.reliable or link is not None)
-        self._stream_errors = _STREAM_ERRORS if self._resilient else ()
-        if reliability.reliable:
-            self.channel: Channel = ReliableChannel(
-                nonblocking=diff_config.nonblocking, obs=self.obs,
-                injector=link,
-                max_retries=reliability.max_retries,
-                backoff_base_us=reliability.backoff_base_us,
-                backoff_cap_us=reliability.backoff_cap_us,
-                retransmit_slots=reliability.retransmit_slots,
-                packer_id=PACKER_IDS[diff_config.packing])
-        elif link is not None:
-            self.channel = FaultyLink(link,
-                                      nonblocking=diff_config.nonblocking,
-                                      obs=self.obs)
-        else:
-            self.channel = Channel(nonblocking=diff_config.nonblocking,
-                                   obs=self.obs)
-        #: Latest quiescent image a link failure can rewind to.
-        self._recovery_point: Optional[BoundarySeed] = None
-        self._last_recovery_cycle = 0
-        #: Cycles between quiescent images taken by the loop (0 = never).
-        self._image_interval = (
-            reliability.recovery_interval
-            if self._resilient and reliability.snapshot_recovery else 0)
-        self._recoveries = 0
+        self.channel = Channel(nonblocking=diff_config.nonblocking,
+                               obs=self.obs)
+        #: Cycles between quiescent images taken by the loop (0 = never;
+        #: :class:`~repro.core.snapshot.SnapshotCoSimulation` sets it).
+        self._image_interval = 0
+        self._last_image_cycle = 0
         self.mismatch: Optional[Mismatch] = None
         self.debug_report: Optional[DebugReport] = None
-        self.transport_error: Optional[TransportError] = None
         self._cycle = 0
         #: Slice-epoch bookkeeping (slicing support; inert by default).
         self._skipped_barriers = 0
@@ -236,10 +194,10 @@ class CoSimulation:
         to every DUT core and REF hart.
 
         Mode selection happens here, once per run.  Called again after
-        any pipeline rebuild that replaces REF harts (recovery-point
-        restore, boundary resume); DUT cores persist across restores and
-        keep their caches — their stale blocks re-validate against the
-        page write epochs bumped by the snapshot restore.
+        a boundary resume replaces the REF harts; DUT cores persist
+        across restores and keep their caches — their stale blocks
+        re-validate against the page write epochs bumped by the snapshot
+        restore.
         """
         self._jit_caches = []
         if not self.diff_config.jit:
@@ -294,9 +252,8 @@ class CoSimulation:
 
     def _bind_stages(self) -> None:
         """Bind the hardware half's stage callables.  Called when capture
-        is selected and again after every pipeline rebuild, so the loop
-        always runs the current fuser and packer.  Only other objects'
-        methods are stored here (see :meth:`_stage` on reference cycles)."""
+        is selected.  Only other objects' methods are stored here (see
+        :meth:`_stage` on reference cycles)."""
         stage = self._stage
         self._dut_cycle = stage("capture", self.dut.cycle)
         self._fuse = (stage("fuse", self.fuser.on_cycle)
@@ -325,8 +282,7 @@ class CoSimulation:
                 self.stats.replay_buffer_peak = held
 
     def _arrive(self) -> None:
-        """Move the loop to the cycle the (lockstepped) cores stopped at,
-        before the trip sends anything a failure would stamp a cycle on."""
+        """Move the loop to the cycle the (lockstepped) cores stopped at."""
         cycle = self.dut.cores[0].cycle_count
         self.stats.idle_cycles_skipped += cycle - self._cycle - 1
         self._cycle = cycle
@@ -430,7 +386,7 @@ class CoSimulation:
     # ------------------------------------------------------------------
     def _receive_items(self):
         """The receive+unpack stage: the next transfer's wire items, None
-        when the channel is empty, :class:`LinkFailure` when it is lost."""
+        when the channel is empty."""
         transfer = self.channel.receive()
         if transfer is None:
             return None
@@ -442,11 +398,9 @@ class CoSimulation:
 
         Wire items go straight to the checker's byte-level compare
         (``process_item``); event objects are only materialised on
-        mismatch or for slot-consuming types.  A :class:`LinkFailure`
-        propagates to the loop.  Stream-level corruption that slipped
-        past a resilient link becomes a structured
-        :class:`TransportError` here — never a spurious DUT mismatch; on
-        a plain channel it propagates.
+        mismatch or for slot-consuming types.  A stream error (a decode
+        failure or a :class:`~repro.core.checker.CheckerProtocolError`)
+        propagates.
         """
         checkers = self.checkers
         completer = self.completer
@@ -455,22 +409,17 @@ class CoSimulation:
         if self._obs_on:  # checked here: a plain drain skips the call
             receive = self._stage("dispatch", receive)
         while self.mismatch is None:
-            try:
-                items = receive()
-                if items is None:
-                    return
-                for item in items:
-                    stats.events_transmitted += 1
-                    mismatch = checkers[item.core_id].process_item(
-                        item, completer)
-                    if mismatch is not None:
-                        self._on_mismatch(mismatch)
-                        return
-                    self._maybe_checkpoint(item.core_id)
-            except self._stream_errors as exc:
-                self._set_transport_error(classify_stream_error(exc),
-                                          str(exc))
+            items = receive()
+            if items is None:
                 return
+            for item in items:
+                stats.events_transmitted += 1
+                mismatch = checkers[item.core_id].process_item(
+                    item, completer)
+                if mismatch is not None:
+                    self._on_mismatch(mismatch)
+                    return
+                self._maybe_checkpoint(item.core_id)
 
     def _maybe_checkpoint(self, core_id: int) -> None:
         """Checkpoint the REF when a checking window closed cleanly.
@@ -494,14 +443,8 @@ class CoSimulation:
             self.debug_report = unit.replay(mismatch)
 
     # ------------------------------------------------------------------
-    # Resilient transport: degradation, snapshot recovery
+    # Quiescent images, slice-epoch barriers and boundary resume
     # ------------------------------------------------------------------
-    def _set_transport_error(self, kind: str, detail: str,
-                             seq: Optional[int] = None) -> None:
-        if self.transport_error is None:
-            self.transport_error = TransportError(
-                kind=kind, detail=detail, seq=seq, cycle=self._cycle)
-
     def _transport_quiescent(self) -> bool:
         """True when every event produced so far has been checked."""
         for core, checker in zip(self.dut.cores, self.checkers):
@@ -516,21 +459,20 @@ class CoSimulation:
         run is alive and everything produced has been checked."""
         self._flush_hardware()
         self._drain()
-        return (self.mismatch is None and self.transport_error is None
-                and self._transport_quiescent())
+        return self.mismatch is None and self._transport_quiescent()
 
-    def _take_recovery_point(self) -> bool:
-        """Image DUT + REFs at a verified quiescent boundary, so an
-        unrecoverable link failure can rewind instead of killing the run.
-        False (previous image kept) when the cycle is not quiescent."""
+    def _take_image(self) -> Optional[BoundarySeed]:
+        """Image DUT + REFs at a verified quiescent boundary (the periodic
+        image :class:`~repro.core.snapshot.SnapshotCoSimulation` restores
+        on a mismatch).  None when the cycle is not quiescent: the image
+        stays due."""
         if not self._settle():
-            return False
-        self._recovery_point = BoundarySeed(
+            return None
+        self._last_image_cycle = self._cycle
+        return BoundarySeed(
             snapshot=take_snapshot(self.dut),
             slots=[checker.ref_slot for checker in self.checkers],
             refs=[ref.clone() for ref in self.refs])
-        self._last_recovery_cycle = self._cycle
-        return True
 
     def _rewind(self, seed: BoundarySeed) -> None:
         """Put DUT, REFs and the software half at a quiescent image.  The
@@ -544,45 +486,9 @@ class CoSimulation:
                          for core in self.dut.cores]
         self._build_checking(seed.slots)
         self._cycle = seed.snapshot.cycle_taken
-        self._last_recovery_cycle = self._cycle
+        self._last_image_cycle = self._cycle
         self._attach_jit()
 
-    def _restore_recovery_point(self) -> None:
-        """Rewind to the latest recovery point, rebuild the hardware
-        half's fuser and packer, and resynchronise the link."""
-        self._rewind(self._recovery_point)
-        old_fuser = self.fuser
-        self.fuser = self._build_fuser()
-        if self.fuser is not None and old_fuser is not None:
-            self.fuser.stats = old_fuser.stats  # keep run-wide totals
-        self._rebuild_packer()
-        channel = self.channel
-        if isinstance(channel, ReliableChannel):
-            channel.reset_link()
-        else:
-            channel.drain()
-        self._recoveries += 1
-        self.stats.link_recoveries += 1
-
-    def _rebuild_packer(self) -> None:
-        """Fresh packer/unpacker for the (possibly degraded) packing;
-        packing statistics carry over so the run's totals stay whole."""
-        old_stats = self.packer.stats
-        self.packer, self.unpacker = self._build_packing(
-            self.diff_config.packing)
-        self.packer.stats = old_stats
-        if isinstance(self.channel, ReliableChannel):
-            self.channel.packer_id = PACKER_IDS[self.diff_config.packing]
-        if self._capture is not None:
-            # Re-point the capture engine at the fresh packer (and, on a
-            # recovery restore, the rebuilt fuser and replay buffers —
-            # the restore rebuilds them before calling here).
-            self._attach_capture()
-        self._bind_stages()
-
-    # ------------------------------------------------------------------
-    # Slice-epoch barriers and boundary resume (repro.parallel.slicing)
-    # ------------------------------------------------------------------
     def _epoch_barrier(self) -> bool:
         """Make the current cycle a legal slice boundary.
 
@@ -595,7 +501,7 @@ class CoSimulation:
         the barrier could not be established.
         """
         if not self._settle():
-            if self.mismatch is None and self.transport_error is None:
+            if self.mismatch is None:
                 self._skipped_barriers += 1
             return False
         if self.fuser is not None:
@@ -627,12 +533,10 @@ class CoSimulation:
                                     REF_MMIO_RANGES)
 
     def resume_from_boundary(self, seed: BoundarySeed) -> None:
-        """Rebuild the whole pipeline at a captured slice boundary.
-
-        The mirror of :meth:`_restore_recovery_point`, but seeded from a
-        (possibly pickled) :class:`BoundarySeed` instead of an in-process
-        recovery point, and *not* counted as a checkpoint — the producing
-        slice's barrier already accounted for it.
+        """Rebuild the whole pipeline at a captured slice boundary, from
+        a (possibly pickled) :class:`BoundarySeed`.  *Not* counted as a
+        checkpoint — the producing slice's barrier already accounted for
+        it.
         """
         self._rewind(seed)
         if self._capture is not None:
@@ -642,124 +546,52 @@ class CoSimulation:
         self._window_start_instructions = sum(
             core.retired for core in self.dut.cores)
 
-    def _degrade_transport(self) -> bool:
-        """Step down the degradation ladder: configured packing ->
-        per-event dpic -> blocking handshake.  Returns False when already
-        at the bottom."""
-        cfg = self.diff_config
-        if cfg.packing != "dpic":
-            self.diff_config = cfg.with_(packing="dpic")
-            step = "dpic"
-        elif cfg.nonblocking:
-            self.diff_config = cfg.with_(nonblocking=False)
-            self.channel.nonblocking = False
-            step = "blocking"
-        else:
-            return False
-        self.stats.degradations.append(step)
-        self._rebuild_packer()
-        return True
-
-    def _handle_link_failure(self, failure: LinkFailure) -> None:
-        """An unrecoverable frame: degrade and/or rewind, else report.
-
-        Recovery requires a snapshot restore — the lost frame's events
-        cannot be regenerated, so only rewinding to a verified boundary
-        keeps DUT and REF in lockstep.  Degradation piggybacks on the
-        restore: after ``degrade_after`` consecutive failures the re-run
-        uses a simpler, more robust transport.
-        """
-        reliability = self.diff_config.reliability
-        if (reliability.snapshot_recovery
-                and self._recovery_point is not None
-                and self._recoveries < reliability.max_recoveries):
-            failures = getattr(self.channel, "consecutive_failures", 0)
-            if failures >= reliability.degrade_after:
-                self._degrade_transport()
-            with self._tracer.span("recovery", cycle=self._cycle):
-                self._restore_recovery_point()
-            return
-        self._set_transport_error(failure.kind, str(failure),
-                                  seq=failure.seq)
-
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
     def advance(self, until: int) -> None:
         """Drive the pipeline to cycle ``until`` — or to the program's
-        end, a mismatch or a transport error, whichever comes first.
+        end or a mismatch, whichever comes first.
 
         The one loop.  A trip runs the hardware half to the next cycle
         with work (:meth:`DutCore.cycle` consumes the idle ones) or to the
         horizon: ``until``, the next slice-epoch multiple, or the cycle an
         image is due (the next one while an overdue image awaits
-        quiescence).  It drains only after a trip that *sent*: a dropped
-        frame leaves the queue empty until ``receive()`` recovers it.  Then
-        the barrier and the image when due.  A :class:`LinkFailure`
-        from any step rewinds to the latest recovery point (``_cycle``
-        moves back, the loop carries on) or ends the run with a transport
-        error.  Callable repeatedly with growing targets: forward
-        boundary seeding steps it cut by cut, :meth:`run` calls it once.
+        quiescence).  It drains only after a trip that *sent*, then takes
+        the barrier and the image when due.  Stream errors propagate.
+        Callable repeatedly with growing targets: forward boundary
+        seeding steps it cut by cut, :meth:`run` calls it once.
         """
         if self._dut_cycle is None:
             self._select_capture()
-        if (self._resilient and self._recovery_point is None
-                and self.diff_config.reliability.snapshot_recovery):
-            # Cycle-0 recovery point: even a failure before the first
-            # interval boundary can rewind.
-            self._take_recovery_point()
         epoch = self.diff_config.slice_epoch_cycles
         interval = self._image_interval
         finished = self.dut.finished
         while (self._cycle < until and self.mismatch is None
-               and self.transport_error is None and not finished()):
+               and not finished()):
             cycle = self._cycle
             horizon = until
             if epoch:
                 horizon = min(horizon, cycle - cycle % epoch + epoch)
             if interval:
                 horizon = min(horizon, max(
-                    self._last_recovery_cycle + interval, cycle + 1))
-            try:
-                half = (self._hardware_cycle if self._capture is None
-                        else self._hardware_cycle_fast)
-                if half(horizon - cycle):  # the trip sent something
-                    self._drain()
-                if epoch and self._cycle % epoch == 0:
-                    self._epoch_barrier()
-                if (interval and self._cycle - self._last_recovery_cycle
-                        >= interval):
-                    self._take_recovery_point()
-            except LinkFailure as failure:
-                self._handle_link_failure(failure)
-
-    def _finish_transport(self) -> None:
-        """The loop's epilogue: check what the hardware half still holds.
-        A run that died leaves a resilient link alone; on a plain channel
-        the closing flush still counts toward the wire totals."""
-        if self.transport_error is not None or (
-                self._resilient and self.mismatch is not None):
-            return
-        try:
-            self._settle()
-        except LinkFailure as failure:
-            self._handle_link_failure(failure)
-            if self.transport_error is not None:
-                return
-            try:
-                self._settle()
-            except LinkFailure as second:
-                # Recovery restored the pipeline but the final drain
-                # still cannot complete: give up cleanly.
-                self._set_transport_error(
-                    "recovery", f"final drain failed after recovery: "
-                    f"{second}", seq=second.seq)
+                    self._last_image_cycle + interval, cycle + 1))
+            half = (self._hardware_cycle if self._capture is None
+                    else self._hardware_cycle_fast)
+            if half(horizon - cycle):  # the trip sent something
+                self._drain()
+            if epoch and self._cycle % epoch == 0:
+                self._epoch_barrier()
+            if interval and self._cycle - self._last_image_cycle >= interval:
+                self._take_image()
 
     def run(self, max_cycles: int = 1_000_000) -> RunResult:
-        """Run until every core traps, a mismatch fires, or the budget ends."""
+        """Run until every core traps, a mismatch fires, or the budget ends.
+        The closing settle checks what the hardware half still holds, so
+        the final flush counts toward the wire totals."""
         self._select_capture()
         self.advance(max_cycles)
-        self._finish_transport()
+        self._settle()
         return self._finish()
 
     def _fold_host_diagnostics(self, registry) -> None:
@@ -799,15 +631,6 @@ class CoSimulation:
         counters.bytes_sent = self.channel.bytes_sent
         self.stats.max_queue_occupancy = self.channel.max_occupancy
         self.stats.backpressure_events = self.channel.backpressure_events
-        # Link-integrity counters (all zero on a plain Channel).
-        channel = self.channel
-        counters.link_crc_errors = getattr(channel, "crc_errors", 0)
-        counters.link_retransmits = getattr(channel, "retransmits", 0)
-        counters.link_frames_dropped = getattr(channel, "frames_dropped", 0)
-        counters.link_duplicates = getattr(channel, "duplicates", 0)
-        counters.link_resets = getattr(channel, "resets", 0)
-        counters.link_recovery_us = getattr(channel, "recovery_us", 0.0)
-        counters.link_degradations = len(self.stats.degradations)
         self.stats.packet_utilization = self.packer.stats.utilization
         self.stats.bubble_bytes = self.packer.stats.bubble_bytes
         self.stats.meta_bytes = self.packer.stats.meta_bytes
@@ -839,16 +662,14 @@ class CoSimulation:
             cycles=counters.cycles,
             instructions=counters.instructions,
             metrics=metrics,
-            transport_error=self.transport_error,
         )
 
 
 def run_cosim(dut_config: DutConfig, diff_config: DiffConfig, image: bytes,
               max_cycles: int = 1_000_000, seed: int = 2025,
               uart_input: bytes = b"",
-              obs: Optional[ObsContext] = None,
-              link: Optional[LinkFaultInjector] = None) -> RunResult:
+              obs: Optional[ObsContext] = None) -> RunResult:
     """Convenience wrapper: build and run one co-simulation."""
     cosim = CoSimulation(dut_config, diff_config, image, seed=seed,
-                         uart_input=uart_input, obs=obs, link=link)
+                         uart_input=uart_input, obs=obs)
     return cosim.run(max_cycles)

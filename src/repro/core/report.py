@@ -5,11 +5,6 @@ whose content disagrees with the REF.  A :class:`DebugReport` is what
 Replay produces after reprocessing the unfused events: the exact faulty
 instruction slot, the event that exposed it, and the microarchitectural
 component implicated by the event's behavioural semantics.
-
-A :class:`TransportError` is categorically different from both: the
-*link* failed (corrupted, lost or reset frames beyond what the resilient
-transport could recover), not the DUT.  Reporting it as a distinct
-outcome keeps link faults from masquerading as DUT bugs.
 """
 
 from __future__ import annotations
@@ -18,30 +13,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..events import VerificationEvent
-
-
-@dataclass(frozen=True)
-class TransportError:
-    """An unrecoverable transport failure, attributed to the link.
-
-    ``kind`` names the failure class — a :class:`LinkFailure` kind
-    (``"reset"``, ``"evicted"``, ``"exhausted"``), a stream-decode class
-    from :func:`~repro.core.checker.classify_stream_error` (``"decode"``,
-    ``"frame"``, ``"protocol"``, ``"payload"``), or ``"recovery"`` when
-    snapshot recovery itself gave out.  Frozen and built from primitives
-    so it pickles across campaign workers.
-    """
-
-    kind: str
-    detail: str
-    seq: Optional[int] = None
-    cycle: Optional[int] = None
-
-    def describe(self) -> str:
-        where = f" at cycle {self.cycle}" if self.cycle is not None else ""
-        seq = f" (seq {self.seq})" if self.seq is not None else ""
-        return (f"transport error [{self.kind}]{where}{seq}: {self.detail} "
-                "(link fault, not a DUT bug)")
 
 
 @dataclass

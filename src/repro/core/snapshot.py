@@ -108,15 +108,14 @@ class SnapshotCoSimulation(CoSimulation):
         self._snapshot_bytes = 0
         self.costs: Optional[SnapshotDebugCosts] = None
 
-    def _take_recovery_point(self) -> bool:
-        if not super()._take_recovery_point():
-            return False
-        seed = self._recovery_point
-        self._snapshots.append(seed)
-        self._snapshot_bytes += seed.snapshot.size_bytes() + sum(
-            clone.memory.allocated_bytes() + ARCH_STATE_BYTES
-            for clone in seed.refs)
-        return True
+    def _take_image(self) -> Optional[BoundarySeed]:
+        seed = super()._take_image()
+        if seed is not None:
+            self._snapshots.append(seed)
+            self._snapshot_bytes += seed.snapshot.size_bytes() + sum(
+                clone.memory.allocated_bytes() + ARCH_STATE_BYTES
+                for clone in seed.refs)
+        return seed
 
     def _on_mismatch(self, mismatch: Mismatch) -> None:
         super()._on_mismatch(mismatch)

@@ -28,7 +28,6 @@ from ..comm.fusion.squash import FusionStats
 from ..comm.loggp import CommCounters, OverheadBreakdown, model_overhead
 from ..comm.packing.base import PackingStats
 from ..obs import MetricRegistry, MetricsSnapshot, record_run_stats
-from .report import TransportError
 from .stats import RunStats
 
 
@@ -78,13 +77,6 @@ class RunSummary:
     #: Registry snapshot when the job ran under observability (else None);
     #: campaign aggregation folds these with MetricsSnapshot.merge.
     metrics: Optional[MetricsSnapshot] = None
-    #: Structured link failure (already frozen primitives, so it crosses
-    #: process boundaries as-is); None on a healthy transport.
-    transport_error: Optional[TransportError] = None
-    #: Degradation-ladder steps the resilient transport took, in order.
-    degradations: tuple = ()
-    #: Snapshot restores performed to survive link failures.
-    link_recoveries: int = 0
 
     # -- derived quantities (same definitions as RunStats) -------------
     @property
@@ -139,9 +131,6 @@ def summarize_result(result) -> RunSummary:
         backpressure_events=stats.backpressure_events,
         checkpoints=stats.checkpoints,
         metrics=result.metrics,
-        transport_error=getattr(result, "transport_error", None),
-        degradations=tuple(stats.degradations),
-        link_recoveries=stats.link_recoveries,
     )
 
 
@@ -153,9 +142,9 @@ def summarize_result(result) -> RunSummary:
 def summary_to_dict(summary: RunSummary) -> dict:
     """Flatten a :class:`RunSummary` to a JSON-safe document.
 
-    Everything is primitives already except the three nested value
-    objects (``counters``, ``mismatch``, ``transport_error``) and the
-    metrics snapshot, each of which gets its own sub-document.
+    Everything is primitives already except the two nested value
+    objects (``counters``, ``mismatch``) and the metrics snapshot, each
+    of which gets its own sub-document.
     """
     return {
         "passed": summary.passed,
@@ -176,20 +165,16 @@ def summary_to_dict(summary: RunSummary) -> dict:
         "checkpoints": summary.checkpoints,
         "metrics": (summary.metrics.to_dicts()
                     if summary.metrics is not None else None),
-        "transport_error": (asdict(summary.transport_error)
-                            if summary.transport_error is not None
-                            else None),
-        "degradations": list(summary.degradations),
-        "link_recoveries": summary.link_recoveries,
     }
+
+
+_COUNTER_FIELDS = frozenset(f.name for f in fields(CommCounters))
 
 
 def summary_from_dict(doc: dict) -> RunSummary:
     """Rebuild the exact :class:`RunSummary` a document was made from."""
     mismatch = (MismatchSummary(**doc["mismatch"])
                 if doc.get("mismatch") is not None else None)
-    transport = (TransportError(**doc["transport_error"])
-                 if doc.get("transport_error") is not None else None)
     metrics = (MetricsSnapshot.from_dicts(doc["metrics"])
                if doc.get("metrics") is not None else None)
     return RunSummary(
@@ -197,7 +182,11 @@ def summary_from_dict(doc: dict) -> RunSummary:
         exit_code=doc["exit_code"],
         cycles=doc["cycles"],
         instructions=doc["instructions"],
-        counters=CommCounters(**doc["counters"]),
+        # Keys of retired counters in documents written by older
+        # versions are dropped, so an existing store still loads.
+        counters=CommCounters(**{
+            name: value for name, value in doc["counters"].items()
+            if name in _COUNTER_FIELDS}),
         mismatch=mismatch,
         debug_report_text=doc.get("debug_report_text"),
         uart_output=doc.get("uart_output", ""),
@@ -209,9 +198,6 @@ def summary_from_dict(doc: dict) -> RunSummary:
         backpressure_events=doc["backpressure_events"],
         checkpoints=doc["checkpoints"],
         metrics=metrics,
-        transport_error=transport,
-        degradations=tuple(doc.get("degradations", ())),
-        link_recoveries=doc.get("link_recoveries", 0),
     )
 
 
@@ -230,9 +216,9 @@ class SliceRunSummary(RunSummary):
     fusion counters for an exact recomputation.
 
     ``passed`` is judged per-window at construction: a non-final slice
-    passes when its window was clean (no mismatch, no transport error) —
-    it never sees the good trap, so the serial exit-code criterion only
-    applies to the final slice.
+    passes when its window was clean (no mismatch) — it never sees the
+    good trap, so the serial exit-code criterion only applies to the
+    final slice.
     """
 
     slice_index: int = 0
@@ -253,8 +239,7 @@ def summarize_slice(result, *, slice_index: int, start_cycle: int,
     base = summarize_result(result)
     values = {f.name: getattr(base, f.name) for f in fields(RunSummary)}
     if not is_final:
-        values["passed"] = (base.mismatch is None
-                            and base.transport_error is None)
+        values["passed"] = base.mismatch is None
     return SliceRunSummary(
         slice_index=slice_index,
         start_cycle=start_cycle,
@@ -290,7 +275,7 @@ def stitch_slices(
     included: List[SliceRunSummary] = []
     for piece in ordered:
         included.append(piece)
-        if piece.mismatch is not None or piece.transport_error is not None:
+        if piece.mismatch is not None:
             break
     last = included[-1]
 
@@ -348,8 +333,5 @@ def stitch_slices(
         backpressure_events=stitched.backpressure_events,
         checkpoints=stitched.checkpoints,
         metrics=metrics,
-        transport_error=last.transport_error,
-        degradations=tuple(stitched.degradations),
-        link_recoveries=stitched.link_recoveries,
     )
     return summary, stitched

@@ -107,23 +107,6 @@ def record_run_stats(registry: MetricRegistry, stats) -> None:
     set_counter("checker.dispatches", counters.sw_dispatches)
     set_gauge("replay.buffer_peak", stats.replay_buffer_peak)
     set_counter("replay.checkpoints", stats.checkpoints)
-    # Resilient-transport counters.  getattr: duck-typed stats objects
-    # without these fields behave as all-zero.  Zero values are *not*
-    # recorded, so a run without reliability produces a snapshot
-    # identical to the pre-resilience format.
-    resilience = (
-        ("comm.crc_errors", getattr(counters, "link_crc_errors", 0)),
-        ("comm.retransmits", getattr(counters, "link_retransmits", 0)),
-        ("comm.frames_dropped",
-         getattr(counters, "link_frames_dropped", 0)),
-        ("comm.duplicates", getattr(counters, "link_duplicates", 0)),
-        ("comm.link_resets", getattr(counters, "link_resets", 0)),
-        ("comm.degradations", getattr(counters, "link_degradations", 0)),
-        ("comm.recoveries", getattr(stats, "link_recoveries", 0)),
-    )
-    for name, value in resilience:
-        if value:
-            set_counter(name, value)
     # Straight-to-wire capture fallbacks (CoSimulation._select_capture);
     # absent reasons are simply not recorded.
     for reason in getattr(stats, "capture_fallbacks", ()):

@@ -9,13 +9,10 @@ parallelism") for the determinism guarantee.
 
 from .campaigns import (
     FaultCase,
-    LinkFaultCase,
     fault_campaign,
     fault_specs,
     ladder_campaign,
     ladder_specs,
-    linkfault_campaign,
-    linkfault_specs,
 )
 from .executor import (
     CampaignExecutor,
@@ -41,8 +38,6 @@ __all__ = [
     "CampaignResult",
     "CampaignStats",
     "FaultCase",
-    "LinkFaultCase",
-    "linkfault_campaign",
     "JobResult",
     "JobSpec",
     "JobTimeout",
@@ -57,7 +52,6 @@ __all__ = [
     "iter_slice_specs",
     "ladder_campaign",
     "ladder_specs",
-    "linkfault_specs",
     "plan_windows",
     "register_runner",
     "runner_for",

@@ -18,20 +18,12 @@ Kinds
 ``workload``
     ``workload`` name (+ ``build_kwargs``): a named workload cell of a
     workload x config matrix.
-``image``
-    a raw ``image`` bytes payload: a pre-assembled program (sweep
-    measured points, custom tests).
 ``fault``
     ``fault`` name, ``trigger`` and an ``image``: one Table 6 fault
     injection, mismatch expected.
-``linkfault``
-    ``link_fault`` name, ``link_rate``/``link_trigger``/``link_seed``
-    and an ``image``: one link-fault injection against the resilient
-    transport — recovery or a structured transport error expected,
-    never a spurious DUT mismatch.
 ``slice``
     one epoch window of a checkpoint-sliced run (boundary seed, window
-    coordinates, optional fault/link-fault) — registered by
+    coordinates, optional fault) — registered by
     :mod:`repro.parallel.slicing`, re-exported here so worker-side
     dispatch finds it.
 """
@@ -47,24 +39,14 @@ from .jobs import register_runner
 def _run(dut_config, diff_config, image: bytes, max_cycles: int,
          seed: int = 2025, uart_input: bytes = b"",
          fault: str = "", trigger: int = 0,
-         link_fault: str = "", link_rate: float = 0.0,
-         link_trigger=None, link_seed: int = 2025,
          collect_metrics: bool = False) -> RunSummary:
     from ..core.framework import CoSimulation
     from ..dut import fault_by_name
     from ..obs import ObsContext
 
     obs = ObsContext() if collect_metrics else None
-    link = None
-    if link_fault:
-        from ..comm.linkfaults import LinkFaultInjector, LinkFaultPlan
-
-        link = LinkFaultInjector(
-            [LinkFaultPlan(link_fault, rate=link_rate,
-                           trigger=link_trigger)],
-            seed=link_seed)
     cosim = CoSimulation(dut_config, diff_config, image, seed=seed,
-                         uart_input=uart_input, obs=obs, link=link)
+                         uart_input=uart_input, obs=obs)
     if fault:
         fault_by_name(fault).install(cosim.dut.cores[0], trigger)
     return cosim.run(max_cycles=max_cycles).summarize()
@@ -92,29 +74,11 @@ def run_workload_job(params: Dict[str, object]) -> RunSummary:
                 collect_metrics=params.get("collect_metrics", False))
 
 
-@register_runner("image")
-def run_image_job(params: Dict[str, object]) -> RunSummary:
-    return _run(params["dut"], params["config"], params["image"],
-                params["max_cycles"], seed=params.get("seed", 2025),
-                collect_metrics=params.get("collect_metrics", False))
-
-
 @register_runner("fault")
 def run_fault_job(params: Dict[str, object]) -> RunSummary:
     return _run(params["dut"], params["config"], params["image"],
                 params["max_cycles"], fault=params["fault"],
                 trigger=params["trigger"],
-                collect_metrics=params.get("collect_metrics", False))
-
-
-@register_runner("linkfault")
-def run_linkfault_job(params: Dict[str, object]) -> RunSummary:
-    return _run(params["dut"], params["config"], params["image"],
-                params["max_cycles"],
-                link_fault=params["link_fault"],
-                link_rate=params.get("link_rate", 0.0),
-                link_trigger=params.get("link_trigger"),
-                link_seed=params.get("link_seed", 2025),
                 collect_metrics=params.get("collect_metrics", False))
 
 

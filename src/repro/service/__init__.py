@@ -23,11 +23,8 @@ from .fingerprint import canonical_document, config_fingerprint
 from .render import (
     fuzz_footer_lines,
     fuzz_job_lines,
-    linkfault_footer_lines,
-    linkfault_job_lines,
     render_fuzz,
     render_ladder,
-    render_linkfault,
 )
 from .server import (
     CampaignService,
@@ -61,9 +58,6 @@ __all__ = [
     "config_fingerprint",
     "fuzz_footer_lines",
     "fuzz_job_lines",
-    "linkfault_footer_lines",
-    "linkfault_job_lines",
     "render_fuzz",
     "render_ladder",
-    "render_linkfault",
 ]

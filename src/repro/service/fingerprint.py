@@ -13,10 +13,9 @@ that is *canonical*:
   default values hashes the same as one relying on the defaults,
   because hashing walks the *resolved* field values, never the
   constructor call;
-* **structural** — nested dataclasses (``CacheParams``,
-  ``ReliabilityConfig``) are walked recursively and tagged with their
-  class name, so two different types with coincidentally equal fields
-  cannot collide.
+* **structural** — nested dataclasses (``CacheParams``) are walked
+  recursively and tagged with their class name, so two different types
+  with coincidentally equal fields cannot collide.
 
 The hash is SHA-256 over a minified, key-sorted JSON document, so it is
 stable across processes and Python versions (no reliance on ``hash()``

@@ -62,24 +62,6 @@ def render_snapshot_report(snapshot: MetricsSnapshot,
     lines.append(f"replay buffer peak    : "
                  f"{int(v('replay.buffer_peak'))}")
     lines.append(f"checkpoints           : {int(v('replay.checkpoints'))}")
-    # Resilient-transport block: appended only when any link-integrity
-    # metric is nonzero, so reports of plain runs stay byte-identical.
-    crc_errors = int(v("comm.crc_errors"))
-    retransmits = int(v("comm.retransmits"))
-    frames_dropped = int(v("comm.frames_dropped"))
-    duplicates = int(v("comm.duplicates"))
-    link_resets = int(v("comm.link_resets"))
-    degradations = int(v("comm.degradations"))
-    recoveries = int(v("comm.recoveries"))
-    if any((crc_errors, retransmits, frames_dropped, duplicates,
-            link_resets, degradations, recoveries)):
-        lines.append(f"link CRC errors       : {crc_errors}")
-        lines.append(f"link retransmits      : {retransmits}")
-        lines.append(f"link frames dropped   : {frames_dropped}")
-        lines.append(f"link duplicates       : {duplicates}")
-        lines.append(f"link resets           : {link_resets}")
-        lines.append(f"transport degradations: {degradations}")
-        lines.append(f"snapshot recoveries   : {recoveries}")
     return "\n".join(lines)
 
 

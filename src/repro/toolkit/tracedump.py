@@ -6,7 +6,7 @@ verification events captured from the DUT on the first run (the "DUT
 trace") and later regenerates the verification flow from the trace alone.
 
 The dump format is a simple length-prefixed binary stream of encoded
-events with a per-cycle framing record, so traces are portable and
+events with a per-cycle header record, so traces are portable and
 append-friendly.
 """
 

@@ -133,10 +133,13 @@ class TestChannel:
             channel.send(Transfer(bytes([i])))
         assert channel.backpressure_events == 0
 
-    def test_drain(self):
+    def test_receive_empties_queue_in_order(self):
         channel = Channel()
         channel.send(Transfer(b"x"))
-        assert len(channel.drain()) == 1
+        channel.send(Transfer(b"y"))
+        assert channel.receive().data == b"x"
+        assert channel.receive().data == b"y"
+        assert channel.receive() is None
         assert len(channel) == 0
 
 

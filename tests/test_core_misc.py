@@ -57,7 +57,7 @@ class TestDiffConfig:
         assert {f.name for f in dataclasses.fields(DiffConfig)} == {
             "name", "packing", "nonblocking", "squash", "differencing",
             "order_coupled", "replay", "fusion_window", "frame_size",
-            "checkpoint_interval", "replay_buffer_slots", "reliability",
+            "checkpoint_interval", "replay_buffer_slots",
             "slice_epoch_cycles", "jit"}
 
     # The first spelling is split so a repo-wide grep for it stays empty.

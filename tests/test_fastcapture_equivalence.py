@@ -22,7 +22,7 @@ Coverage map:
   event sets) with a wire tap asserting frame-level byte identity;
 * raw-record Replay vs object Replay: an un-armed mismatching run
   renders the same debug report, the slot-span bound drops the same
-  slots, sliced and recovery-restored runs fill the rebuilt buffers;
+  slots, sliced runs fill the rebuilt buffers;
 * fallback triggers: obs instrumentation, armed faults, order-coupled
   fusion — each recorded in ``capture_fallbacks`` — and none under any
   ladder config's defaults;
@@ -48,7 +48,6 @@ from repro.comm.fastcapture import (
 )
 from repro.comm.fusion.differencing import DIFF_MIN_PAYLOAD
 from repro.comm.fusion.squash import SquashFuser
-from repro.comm.linkfaults import LinkFaultInjector, LinkFaultPlan
 from repro.comm.packing import (
     BatchPacker,
     DpicPacker,
@@ -65,7 +64,6 @@ from repro.core import (
     CONFIG_Z,
     LADDER as SHIPPED_LADDER,
     CoSimulation,
-    ReliabilityConfig,
 )
 from repro.dut import NUTSHELL, XIANGSHAN_DEFAULT, XIANGSHAN_DUAL, \
     fault_by_name
@@ -422,12 +420,12 @@ def _pin_objects(cosim):
 
 
 def _tapped(config, dut=XIANGSHAN_DEFAULT, source=WORKLOAD, image=None,
-            fault=None, trigger=300, obs=None, link=None, pin=False):
+            fault=None, trigger=300, obs=None, pin=False):
     """A co-simulation whose wire is tapped; ``pin`` makes it the
     object-path reference."""
     cosim = CoSimulation(dut, config,
                          image if image is not None else assemble(source),
-                         obs=obs, link=link)
+                         obs=obs)
     if fault is not None:
         fault_by_name(fault).install(cosim.dut.cores[0], trigger)
     if pin:
@@ -579,26 +577,6 @@ def test_slot_span_bound_drops_identically():
     assert fast.passed and legacy.passed
     assert cosim.replay_buffers[0].dropped_slots > 0
     _assert_identical(fast, legacy)
-    _assert_buffers_identical(cosim, object_sim)
-
-
-def test_recovery_restore_repoints_emitters_at_rebuilt_buffers():
-    """A snapshot restore rebuilds the replay buffers; the emitters must
-    append to the new ones (the old deques are unreachable)."""
-    cfg = CONFIG_BNSD.with_(reliability=ReliabilityConfig(
-        reliable=True, recovery_interval=50))
-
-    def run(pin):
-        link = LinkFaultInjector([LinkFaultPlan("link_reset", trigger=3)])
-        return _run_tapped(cfg, link=link, pin=pin)
-
-    (fast, fast_wire, cosim), (legacy, legacy_wire, object_sim) = \
-        run(False), run(True)
-    assert fast.passed and legacy.passed
-    assert fast.stats.link_recoveries >= 1
-    assert fast_wire == legacy_wire
-    _assert_identical(fast, legacy)
-    assert len(cosim.replay_buffers[0]) > 0
     _assert_buffers_identical(cosim, object_sim)
 
 

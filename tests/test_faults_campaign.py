@@ -246,3 +246,16 @@ def test_detection_speed_advantage():
     slow = result.breakdown(VERILATOR_16T, XIANGSHAN_DEFAULT.gates_millions,
                             False)
     assert fast.total_us < slow.total_us / 20
+
+
+class TestFaultCatalogueLookup:
+    def test_dut_fault_unknown_name_lists_valid(self):
+        with pytest.raises(KeyError) as excinfo:
+            fault_by_name("nope")
+        message = excinfo.value.args[0]
+        assert "'nope'" in message
+        assert "cache_line_corruption" in message
+
+    def test_dut_fault_known_name_still_resolves(self):
+        assert fault_by_name("cache_line_corruption").name == \
+            "cache_line_corruption"

@@ -211,7 +211,7 @@ def test_one_run_loop():
 
     loops, writers = cycle_sites("core/framework.py")
     assert loops == ["advance"], loops
-    # Construction, the forward step and the recovery rewind: nothing
+    # Construction, the forward step and the boundary rewind: nothing
     # else moves the loop's clock.
     assert sorted(writers) == ["__init__", "_arrive", "_rewind"], writers
     for other in ("parallel/slicing.py", "core/snapshot.py"):

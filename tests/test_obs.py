@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.core import CONFIG_BNSD, ReliabilityConfig, run_cosim
+from repro.core import CONFIG_BNSD, run_cosim
 from repro.dut import XIANGSHAN_DEFAULT
 from repro.obs import (
     NULL_OBS,
@@ -261,15 +261,9 @@ class TestExport:
 # Framework integration
 # ----------------------------------------------------------------------
 class TestFrameworkIntegration:
-    @pytest.mark.parametrize("reliable", [False, True],
-                             ids=["plain", "reliable"])
-    def test_snapshot_matches_stats(self, small_image, reliable):
-        """A resilient transport is observed exactly like the plain one:
-        same capture counter, same pipeline spans."""
+    def test_snapshot_matches_stats(self, small_image):
         obs = ObsContext()
-        config = CONFIG_BNSD.with_(
-            reliability=ReliabilityConfig(reliable=reliable))
-        result = run_cosim(XIANGSHAN_DEFAULT, config, small_image,
+        result = run_cosim(XIANGSHAN_DEFAULT, CONFIG_BNSD, small_image,
                            max_cycles=60_000, obs=obs)
         assert result.passed
         assert PIPELINE_PHASES <= set(obs.tracer.aggregate())

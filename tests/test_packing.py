@@ -13,6 +13,8 @@ from repro.comm.packing import (
     FixedLayout,
     FixedPacker,
     FixedUnpacker,
+    Transfer,
+    TransferDecodeError,
     WireItem,
     mux_tree_pack,
 )
@@ -239,3 +241,37 @@ def test_batch_roundtrip_property(cycle_specs):
     unpacker = BatchUnpacker()
     received = roundtrip(packer, unpacker, cycles)
     assert received == [item for cycle in cycles for item in cycle]
+
+
+class TestTransferDecodeErrors:
+    def test_dpic_truncated(self):
+        with pytest.raises(TransferDecodeError) as excinfo:
+            DpicUnpacker().unpack(Transfer(b"\x01\x02"))
+        err = excinfo.value
+        assert err.scheme == "dpic"
+        assert err.offset == 2 and err.actual == 2
+        assert err.expected > 2
+        assert "byte offset" in str(err)
+
+    def test_batch_truncated_header(self):
+        # Frame header says 1 block but the block header is cut off.
+        with pytest.raises(TransferDecodeError) as excinfo:
+            BatchUnpacker().unpack(Transfer(b"\x01\x00\x05"))
+        err = excinfo.value
+        assert err.scheme == "batch"
+        assert err.actual == 3
+
+    def test_batch_trailing_garbage(self):
+        with pytest.raises(TransferDecodeError, match="frame parse error"):
+            BatchUnpacker().unpack(Transfer(b"\x00\x00" + b"junk"))
+
+    def test_fixed_size_mismatch(self):
+        layout = FixedLayout([EV.InstrCommit], num_cores=1)
+        with pytest.raises(TransferDecodeError) as excinfo:
+            FixedUnpacker(layout).unpack(Transfer(b"\x00" * 7))
+        err = excinfo.value
+        assert err.scheme == "fixed"
+        assert err.expected == layout.packet_size and err.actual == 7
+
+    def test_decode_error_is_value_error(self):
+        assert issubclass(TransferDecodeError, ValueError)

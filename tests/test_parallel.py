@@ -6,6 +6,7 @@ them separately (they fork a worker pool); run just these with
 """
 
 import pickle
+import threading
 import time
 
 import pytest
@@ -310,3 +311,28 @@ class TestStatsRollup:
         import os
         executor = CampaignExecutor()
         assert executor.workers == (os.cpu_count() or 1)
+
+
+def test_attempt_with_timeout_falls_back_off_main_thread():
+    """SIGALRM is only armed on the main thread; elsewhere the attempt
+    runs unbounded instead of crashing."""
+    from repro.parallel.executor import _attempt_with_timeout
+
+    outcome = {}
+
+    def worker():
+        outcome["value"] = _attempt_with_timeout(
+            lambda params: params["x"] + 1, {"x": 41}, timeout=0.001)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join()
+    assert outcome["value"] == 42
+
+
+def test_attempt_with_timeout_fires_on_main_thread():
+    from repro.parallel.executor import JobTimeout, _attempt_with_timeout
+
+    with pytest.raises(JobTimeout):
+        _attempt_with_timeout(lambda params: time.sleep(5), {},
+                              timeout=0.05)

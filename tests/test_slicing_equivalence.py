@@ -20,7 +20,6 @@ from repro.core import (
     CONFIG_FIXED,
     CONFIG_Z,
     CoSimulation,
-    ReliabilityConfig,
 )
 from repro.dut import NUTSHELL, fault_by_name
 from repro.obs import ObsContext
@@ -39,8 +38,6 @@ pytestmark = pytest.mark.slicing
 
 WORKLOAD = build("memory_churn", array_kb=8, passes=1)
 MAX = 4500  # the workload hits its good trap at exactly this cycle
-RELIABLE_BNSD = CONFIG_BNSD.with_(
-    reliability=ReliabilityConfig(reliable=True))
 
 
 def serial_run(config, *, max_cycles=MAX, epoch=None, fault="", trigger=0,
@@ -284,34 +281,11 @@ class TestFaultAttribution:
                 slices=4, mode="telepathy"))
 
 
-class TestLinkFaultAttribution:
-    """Transport faults are slice-local: the retransmission shows up in
-    exactly the targeted slice, and the stitched run still passes."""
-
-    @pytest.mark.parametrize("target", [0, 2])
-    def test_drop_recovered_in_targeted_slice(self, target):
-        sr = sliced(RELIABLE_BNSD, slices=4, link_fault="link_drop",
-                    link_trigger=0, link_slice=target)
-        assert sr.passed
-        retransmits = [s.counters.link_retransmits for s in sr.slices]
-        expected = [0, 0, 0, 0]
-        expected[target] = 1
-        assert retransmits == expected
-        assert sr.summary.counters.link_retransmits == 1
-
-    def test_attribution_is_worker_invariant(self):
-        solo = sliced(RELIABLE_BNSD, slices=4, link_fault="link_drop",
-                      link_trigger=0, link_slice=2, workers=1)
-        pooled = sliced(RELIABLE_BNSD, slices=4, link_fault="link_drop",
-                        link_trigger=0, link_slice=2, workers=4)
-        assert solo.summary == pooled.summary
-        assert [s.counters for s in solo.slices] == \
-            [s.counters for s in pooled.slices]
-
-    def test_unreliable_transport_fails_loudly(self):
-        """Without retransmission a dropped frame leaves the slice
-        non-quiescent; the harness must refuse to stitch a silently
-        different report."""
-        with pytest.raises(SliceExecutionError):
-            sliced(CONFIG_BNSD, slices=4, link_fault="link_drop",
-                   link_trigger=0, link_slice=0)
+class TestNonQuiescentWindow:
+    def test_window_not_ending_quiescent_fails_loudly(self, monkeypatch):
+        """A non-final window must close on a quiescent barrier; the
+        harness refuses to stitch a window that did not."""
+        monkeypatch.setattr(CoSimulation, "_transport_quiescent",
+                            lambda self: False)
+        with pytest.raises(SliceExecutionError, match="quiescent barrier"):
+            sliced(CONFIG_BNSD, slices=4, workers=1)
