@@ -771,13 +771,20 @@ def _sraw(a: int, b: int) -> int:
     return to_u64(sext(a & 0xFFFFFFFF, 32) >> (b & 31))
 
 
+def _quot(sa: int, sb: int) -> int:
+    """``sa / sb`` truncated toward zero, in exact integer arithmetic
+    (``//`` floors, and float division loses bits above 2**53)."""
+    quotient = abs(sa) // abs(sb)
+    return -quotient if (sa < 0) != (sb < 0) else quotient
+
+
 def _div(a: int, b: int) -> int:
     sa, sb = to_s64(a), to_s64(b)
     if sb == 0:
         return MASK64
     if sa == -(1 << 63) and sb == -1:
         return to_u64(sa)
-    return to_u64(int(sa / sb))
+    return to_u64(_quot(sa, sb))
 
 
 def _divu(a: int, b: int) -> int:
@@ -790,7 +797,7 @@ def _rem(a: int, b: int) -> int:
         return to_u64(sa)
     if sa == -(1 << 63) and sb == -1:
         return 0
-    return to_u64(sa - int(sa / sb) * sb)
+    return to_u64(sa - _quot(sa, sb) * sb)
 
 
 def _remu(a: int, b: int) -> int:
@@ -803,7 +810,7 @@ def _divw(a: int, b: int) -> int:
         return MASK64
     if sa == -(1 << 31) and sb == -1:
         return to_u64(sa)
-    return to_u64(sext(int(sa / sb) & 0xFFFFFFFF, 32))
+    return to_u64(sext(_quot(sa, sb) & 0xFFFFFFFF, 32))
 
 
 def _divuw(a: int, b: int) -> int:
@@ -817,7 +824,7 @@ def _remw(a: int, b: int) -> int:
         return to_u64(sa)
     if sa == -(1 << 31) and sb == -1:
         return 0
-    return to_u64(sext((sa - int(sa / sb) * sb) & 0xFFFFFFFF, 32))
+    return to_u64(sext((sa - _quot(sa, sb) * sb) & 0xFFFFFFFF, 32))
 
 
 def _remuw(a: int, b: int) -> int:

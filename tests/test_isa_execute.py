@@ -1,5 +1,6 @@
 """Tests for the functional hart: instruction semantics, traps, interrupts."""
 
+import pytest
 
 from repro.isa import (
     ArchState,
@@ -21,6 +22,7 @@ from repro.isa.const import (
     PRIV_M,
     PRIV_U,
 )
+from repro.isa.jit import TraceCache
 
 
 def make_hart(source: str, devices: bool = False):
@@ -597,3 +599,119 @@ class TestVectorExtended:
             vmv.v.x v1, t2
         """)
         assert s.vregs[1] == [1, 1, 9, 9]
+
+
+# ----------------------------------------------------------------------
+# Ops no workload executes: each edge case through the interpreter and
+# through one compiled superblock (both bind the same ALU functions)
+# ----------------------------------------------------------------------
+INT32_MIN = 0x80000000
+SEXT_INT32_MIN = 0xFFFFFFFF80000000
+
+
+def run_compiled(body: str):
+    """Run a straight-line snippet, up to its final ``ebreak``, through
+    compiled DUT blocks only."""
+    source = body + "\n li a0, 0\n ebreak"
+    hart, state = make_hart(source)
+    cache = TraceCache(hart.bus, "dut", warmup=0)
+    end = DRAM_BASE + len(assemble(source)) - 4
+    while state.pc != end:
+        results = cache.run_block(hart, state.pc, 1 << 30)
+        if results is None:  # the first sighting compiles the block
+            results = cache.run_block(hart, state.pc, 1 << 30)
+        assert results, f"interpreter fallback at {state.pc:#x}"
+    return state
+
+
+@pytest.fixture(params=["interp", "jit"])
+def execute(request):
+    return run_expr if request.param == "interp" else run_compiled
+
+
+class TestUnexecutedOps:
+    def test_srlw_shift_amounts(self, execute):
+        s = execute(f"li t0, {INT32_MIN}\n li t1, 0\n srlw t2, t0, t1\n"
+                    "li t1, 31\n srlw t3, t0, t1\n"
+                    "li t1, 32\n srlw t4, t0, t1")
+        assert s.xregs[7] == SEXT_INT32_MIN  # shift 0 still sign-extends
+        assert s.xregs[28] == 1
+        assert s.xregs[29] == SEXT_INT32_MIN  # 32 & 31 == 0
+
+    def test_sraw_shift_amounts(self, execute):
+        s = execute(f"li t0, {INT32_MIN}\n li t1, 0\n sraw t2, t0, t1\n"
+                    "li t1, 31\n sraw t3, t0, t1\n"
+                    "li t1, 32\n sraw t4, t0, t1\n"
+                    "li t5, 0x1234567800000010\n li t1, 4\n"
+                    "sraw t6, t5, t1")
+        assert s.xregs[7] == SEXT_INT32_MIN
+        assert s.xregs[28] == MASK64  # the sign bit fills all 32 bits
+        assert s.xregs[29] == SEXT_INT32_MIN
+        assert s.xregs[31] == 1  # the upper word is ignored
+
+    def test_divuw(self, execute):
+        s = execute(f"li t0, {INT32_MIN}\n li t1, 1\n divuw t2, t0, t1\n"
+                    "li t1, 0\n divuw t3, t0, t1\n"
+                    "li t0, -1\n li t1, 2\n divuw t4, t0, t1\n"
+                    "li t0, 0x100000007\n li t1, 0x100000002\n"
+                    "divuw t5, t0, t1")
+        assert s.xregs[7] == SEXT_INT32_MIN  # the 32-bit quotient sign-extends
+        assert s.xregs[28] == MASK64  # divide by zero
+        assert s.xregs[29] == 0x7FFFFFFF
+        assert s.xregs[30] == 3
+
+    def test_remuw(self, execute):
+        s = execute(f"li t0, {INT32_MIN}\n li t1, 0\n remuw t2, t0, t1\n"
+                    "li t0, 5\n remuw t3, t0, t1\n"
+                    "li t0, -1\n li t1, 16\n remuw t4, t0, t1\n"
+                    f"li t0, {INT32_MIN + 1}\n li t1, {INT32_MIN}\n"
+                    "remuw t5, t0, t1")
+        assert s.xregs[7] == SEXT_INT32_MIN  # by zero: the dividend, sext
+        assert s.xregs[28] == 5
+        assert s.xregs[29] == 15
+        assert s.xregs[30] == 1
+
+    def test_mulhsu_negative_rs1(self, execute):
+        s = execute("li t0, -1\n li t1, 1\n mulhsu t2, t0, t1\n"
+                    "li t1, 0\n mulhsu t3, t0, t1\n"
+                    "li t0, -4\n li t1, 0x8000000000000000\n"
+                    "mulhsu t4, t0, t1\n"
+                    "li t0, 0x8000000000000000\n li t1, -1\n"
+                    "mulhsu t5, t0, t1\n"
+                    "li t0, 2\n mulhsu t6, t0, t1")
+        assert s.xregs[7] == MASK64  # -1 * 1 = -1: high half all ones
+        assert s.xregs[28] == 0
+        assert s.xregs[29] == MASK64 - 1  # -4 * 2^63 = -2^65
+        # -2^63 * (2^64 - 1), rs2 unsigned (mulh would give 0 here).
+        assert s.xregs[30] == 1 << 63
+        assert s.xregs[31] == 1  # 2 * (2^64 - 1)
+
+    def test_div_rem_large_dividends_are_exact(self, execute):
+        s = execute("li t0, 0x4000000000000001\n li t1, 1\n"
+                    "div t2, t0, t1\n rem t3, t0, t1\n"
+                    "li t0, 0x7FFFFFFFFFFFFFFF\n li t1, 7\n"
+                    "div t4, t0, t1\n rem t5, t0, t1\n"
+                    "li t0, -0x4000000000000001\n li t1, 3\n"
+                    "div t6, t0, t1\n rem s1, t0, t1")
+        assert s.xregs[7] == 0x4000000000000001
+        assert s.xregs[28] == 0
+        assert s.xregs[29] == 1317624576693539401
+        assert s.xregs[30] == 0  # 2^63 - 1 == 7 * 1317624576693539401
+        # -(2^62 + 1) / 3 truncates toward zero; the remainder keeps the
+        # dividend's sign.
+        assert s.xregs[31] == -1537228672809129301 & MASK64
+        assert s.xregs[9] == -2 & MASK64
+
+
+def test_vand_vv_is_interpreted():
+    s = run_expr("li t0, 4\n vsetvli t1, t0, e64\n"
+                 "li t2, 0xF0F0F0F0F0F0F0F0\n vmv.v.x v1, t2\n"
+                 "li t2, 0xFF00FF00FF00FF00\n vmv.v.x v2, t2\n"
+                 "vand.vv v3, v2, v1\n"
+                 "li t0, 2\n vsetvli t1, t0, e64\n vand.vv v4, v2, v1")
+    assert s.vregs[3] == [0xF000F000F000F000] * 4
+    # Elements past vl are left as they were.
+    assert s.vregs[4] == [0xF000F000F000F000] * 2 + [0, 0]
+    # The compiled tier never traces a vector op.
+    hart, _ = make_hart("vand.vv v3, v2, v1\n li a0, 0\n ebreak")
+    assert TraceCache(hart.bus, "dut", warmup=0)._trace(DRAM_BASE) is None

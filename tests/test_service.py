@@ -237,6 +237,14 @@ class TestServiceStore:
                            with_metrics=True)
         assert summary_from_dict(summary_to_dict(summary)) == summary
 
+    def test_summary_from_older_document_drops_retired_keys(self):
+        """A store written before the link counters were removed still
+        loads: their keys are ignored."""
+        summary = _summary()
+        doc = summary_to_dict(summary)
+        doc["counters"]["link_retransmits"] = 0
+        assert summary_from_dict(doc) == summary
+
     def test_recover_orphans_requeues_and_drops_partials(self):
         with ServiceStore() as store:
             campaign_id, _ = store.submit(
