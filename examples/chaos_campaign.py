@@ -19,10 +19,10 @@ Recovered or reported, never silent loss: that is the contract.
 Run:  python examples/chaos_campaign.py
 """
 
+from repro.cli import render_fuzz
 from repro.core import CONFIG_BNSD
 from repro.dut import XIANGSHAN_DEFAULT
 from repro.parallel import SupervisionPolicy
-from repro.service.render import render_fuzz
 from repro.toolkit import POISON, ChaosExecutor, ChaosFault, ChaosPlan
 from repro.workloads.fuzz import fuzz_specs
 

@@ -43,8 +43,8 @@ class MeasuredPoint:
 def measured_point_specs(cells):
     """The job specs of a measured-point sweep, in cell order.
 
-    Shared by :func:`collect_measured_points` and the campaign service's
-    ``sweep`` submissions so both measure the identical cells.
+    Split out of :func:`collect_measured_points` so a caller driving
+    its own executor measures the identical cells.
     """
     from ..parallel import JobSpec
 

@@ -27,27 +27,53 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .core import CONFIG_BNSD, CoSimulation, run_cosim
-from .dut import FAULT_CATALOGUE, XIANGSHAN_DEFAULT, fault_by_name
+from .comm import FPGA_VU19P, PALLADIUM, VERILATOR_16T
+from .core import (
+    CONFIG_B,
+    CONFIG_BN,
+    CONFIG_BNSD,
+    CONFIG_COUPLED,
+    CONFIG_FIXED,
+    CONFIG_Z,
+    CoSimulation,
+    run_cosim,
+)
+from .dut import (
+    FAULT_CATALOGUE,
+    NUTSHELL,
+    XIANGSHAN_DEFAULT,
+    XIANGSHAN_DUAL,
+    XIANGSHAN_MINIMAL,
+    fault_by_name,
+)
 from .events import all_event_classes
 from .obs import MetricsSnapshot, ObsContext, render_profile, \
     write_chrome_trace, write_metrics_jsonl
-# The name registries live with the campaign service (which needs them
-# to resolve JSON submissions); the CLI is just another consumer.
-from .service.catalog import CONFIGS as _CONFIGS
-from .service.catalog import DUTS as _DUTS
-from .service.catalog import PLATFORMS as _PLATFORMS
-from .service.catalog import SUBMISSION_KINDS
-from .service.render import (
-    fuzz_footer_lines,
-    fuzz_job_lines,
-    render_ladder,
-)
 from .toolkit import render_event_profile, render_report, \
     render_snapshot_report
 from .workloads import available, build
+
+_DUTS = {
+    "nutshell": NUTSHELL,
+    "xiangshan-minimal": XIANGSHAN_MINIMAL,
+    "xiangshan": XIANGSHAN_DEFAULT,
+    "xiangshan-dual": XIANGSHAN_DUAL,
+}
+_CONFIGS = {
+    "Z": CONFIG_Z,
+    "B": CONFIG_B,
+    "BIN": CONFIG_BN,
+    "EBINSD": CONFIG_BNSD,
+    "FIXED": CONFIG_FIXED,
+    "COUPLED": CONFIG_COUPLED,
+}
+_PLATFORMS = {
+    "palladium": PALLADIUM,
+    "fpga": FPGA_VU19P,
+    "verilator": VERILATOR_16T,
+}
 
 
 def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
@@ -197,73 +223,91 @@ def _build_parser() -> argparse.ArgumentParser:
         listing = sub.add_parser(name, help=text)
         listing.add_argument("--json", action="store_true",
                              help="emit the listing as a JSON array")
-
-    serve = sub.add_parser(
-        "serve", help="run the verification-as-a-service campaign "
-                      "server (NDJSON over TCP)")
-    serve.add_argument("--store", default="service.db",
-                       help="SQLite store path (queue + results survive "
-                            "restarts)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7337,
-                       help="TCP port (0 = ephemeral)")
-    serve.add_argument("--rate", type=float, default=10.0,
-                       help="per-client submissions/s refill rate")
-    serve.add_argument("--burst", type=float, default=20.0,
-                       help="per-client submission burst capacity")
-    serve.add_argument("--lease-s", type=float, default=30.0,
-                       help="running-campaign heartbeat lease; a lease "
-                            "that expires is re-queued by the reaper")
-    serve.add_argument("--requeue-budget", type=int, default=3,
-                       help="crash/lease-expiry re-queues before a "
-                            "campaign is dead-lettered")
-    serve.add_argument("--max-queue", type=int, default=1024,
-                       help="reject new submissions once this many "
-                            "campaigns are queued (overload protection)")
-    _add_workers_flag(serve)
-    _add_supervision_flags(serve)
-
-    submit = sub.add_parser(
-        "submit", help="submit a campaign to a running service")
-    submit.add_argument("kind", choices=SUBMISSION_KINDS)
-    submit.add_argument("--params", default="{}",
-                        help="campaign parameters as a JSON object "
-                             "(defaults match the one-shot commands)")
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=7337)
-    submit.add_argument("--wait", action="store_true",
-                        help="stay connected until the campaign "
-                             "finishes")
-
-    status = sub.add_parser(
-        "status", help="show a submitted campaign's state and progress")
-    status.add_argument("campaign", type=int)
-    status.add_argument("--host", default="127.0.0.1")
-    status.add_argument("--port", type=int, default=7337)
-    status.add_argument("--json", action="store_true",
-                        help="emit the raw status document")
-
-    results = sub.add_parser(
-        "results", help="print a finished campaign's stored report "
-                        "(byte-identical to the one-shot command)")
-    results.add_argument("campaign", type=int)
-    results.add_argument("--host", default="127.0.0.1")
-    results.add_argument("--port", type=int, default=7337)
-
-    cancel = sub.add_parser(
-        "cancel", help="cancel a queued or running campaign")
-    cancel.add_argument("campaign", type=int)
-    cancel.add_argument("--host", default="127.0.0.1")
-    cancel.add_argument("--port", type=int, default=7337)
-
-    health = sub.add_parser(
-        "health", help="show a running service's queue depth, lease "
-                       "lag and supervision counters")
-    health.add_argument("--host", default="127.0.0.1")
-    health.add_argument("--port", type=int, default=7337)
-    health.add_argument("--json", action="store_true",
-                        help="emit the raw health document")
     return parser
+
+
+# ----------------------------------------------------------------------
+# Campaign reports.  Values derived from the runs only, never wall-clock
+# time or worker counts, so the text is identical at any --workers.
+# ----------------------------------------------------------------------
+def fuzz_job_lines(job, start: int) -> List[str]:
+    """The report lines of one fuzz job (seed = start + index)."""
+    seed = start + job.index
+    if not job.ok:
+        lines = [f"seed {seed:6d}: {job.verdict()}"]
+        if job.error:
+            lines.append("  " + job.error.strip().splitlines()[-1])
+        return lines
+    verdict = "ok" if job.summary.passed else "FAIL"
+    lines = [f"seed {seed:6d}: {verdict}  "
+             f"({job.summary.instructions} instr)"]
+    if not job.summary.passed and job.summary.mismatch:
+        lines.append("  " + job.summary.mismatch.describe())
+    return lines
+
+
+def fuzz_footer_lines(campaign, requested: int) -> List[str]:
+    """The fuzz campaign footer (blank separator + pass tally).
+
+    The quarantine line appears only when the supervisor actually
+    quarantined poison jobs, so fault-free reports are byte-identical
+    to the pre-supervision format.
+    """
+    failures = len(campaign.failures)
+    total = len(campaign.jobs)
+    lines = ["", f"{total - failures}/{total} passed"]
+    quarantined = [job for job in campaign.jobs
+                   if getattr(job, "quarantined", False)]
+    if quarantined:
+        lines.append(f"({len(quarantined)} poison job(s) quarantined: "
+                     + ", ".join(job.label for job in quarantined) + ")")
+    if campaign.stats.short_circuited:
+        lines.append(f"(fail-fast: stopped after {total} of "
+                     f"{requested} seeds)")
+    return lines
+
+
+def render_fuzz(campaign, start: int, requested: int) -> str:
+    """The full fuzz campaign report (per-seed lines + footer)."""
+    lines: List[str] = []
+    for job in campaign.jobs:
+        lines.extend(fuzz_job_lines(job, start))
+    lines.extend(fuzz_footer_lines(campaign, requested))
+    return "\n".join(lines)
+
+
+def render_ladder(campaign, dut_config, configs) -> Tuple[str, bool]:
+    """The Table 5 ladder report; returns ``(text, all_rungs_passed)``.
+
+    Mirrors the historical ``repro ladder`` output exactly: header, one
+    row per rung, and on the first failing rung a FAILED line (plus the
+    error's last traceback line for broken jobs) with the table cut
+    short — the serial CLI behaviour.
+    """
+    lines = [f"{'config':8s} {'invokes/cyc':>12s} {'bytes/cyc':>10s} "
+             f"{'PLDM KHz':>9s} {'FPGA KHz':>9s}"]
+    baseline = None
+    for config, job in zip(configs, campaign.jobs):
+        name = config.name
+        if not job.passed:
+            detail = (job.summary.mismatch.describe()
+                      if job.ok and job.summary.mismatch else job.verdict())
+            lines.append(f"{name}: FAILED ({detail})")
+            if not job.ok and job.error:
+                lines.append("  " + job.error.strip().splitlines()[-1])
+            return "\n".join(lines), False
+        summary = job.summary
+        pldm = summary.breakdown(PALLADIUM, dut_config.gates_millions,
+                                 config.nonblocking)
+        fpga = summary.breakdown(FPGA_VU19P, dut_config.gates_millions,
+                                 config.nonblocking)
+        if baseline is None:
+            baseline = pldm.speed_khz
+        lines.append(
+            f"{name:8s} {summary.invokes_per_cycle:12.3f} "
+            f"{summary.bytes_per_cycle:10.1f} {pldm.speed_khz:9.1f} "
+            f"{fpga.speed_khz:9.1f}  ({pldm.speed_khz/baseline:.1f}x)")
+    return "\n".join(lines), True
 
 
 # ----------------------------------------------------------------------
@@ -537,154 +581,6 @@ def _cmd_events(args) -> int:
     return 0
 
 
-# ----------------------------------------------------------------------
-# verification-as-a-service commands
-# ----------------------------------------------------------------------
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from .service import CampaignService, ServiceServer, ServiceStore
-
-    async def run() -> int:
-        with ServiceStore(args.store) as store:
-            service = CampaignService(store, workers=args.workers,
-                                      rate=args.rate, burst=args.burst,
-                                      lease_s=args.lease_s,
-                                      requeue_budget=args.requeue_budget,
-                                      max_queue=args.max_queue,
-                                      supervision=_supervision_from(args))
-            server = ServiceServer(service, host=args.host,
-                                   port=args.port)
-            orphans = await server.start()
-            if orphans:
-                requeued = ", ".join(f"#{cid}" for cid in orphans)
-                print(f"re-queued orphaned campaign(s): {requeued}")
-            host, port = server.address
-            print(f"serving on {host}:{port} (store: {args.store})")
-            try:
-                await server.serve_forever()
-            finally:
-                await server.stop(drain=False)
-        return 0
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        return 0
-
-
-def _with_client(args, action) -> int:
-    """Run an async client action against ``--host``/``--port``."""
-    import asyncio
-
-    from .service import ServiceClient, ServiceError
-
-    async def run() -> int:
-        try:
-            async with ServiceClient(args.host, args.port) as client:
-                return await action(client)
-        except ConnectionRefusedError:
-            print(f"no service at {args.host}:{args.port} "
-                  f"(start one with `repro serve`)")
-            return 1
-        except ServiceError as exc:
-            print(f"service error: {exc}")
-            return 1
-
-    return asyncio.run(run())
-
-
-def _cmd_submit(args) -> int:
-    try:
-        params = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        print(f"--params is not valid JSON: {exc}")
-        return 1
-    if not isinstance(params, dict):
-        print("--params must be a JSON object")
-        return 1
-
-    async def action(client) -> int:
-        reply = await client.submit(args.kind, params)
-        campaign = reply["campaign"]
-        suffix = "  (cache hit)" if reply["cached"] else ""
-        print(f"campaign #{campaign}: {reply['state']}{suffix}")
-        if args.wait and not reply["cached"]:
-            state = await client.wait(campaign)
-            print(f"campaign #{campaign}: {state}")
-            return 0 if state == "done" else 1
-        return 0
-
-    return _with_client(args, action)
-
-
-def _cmd_status(args) -> int:
-    async def action(client) -> int:
-        reply = await client.status(args.campaign)
-        if args.json:
-            reply.pop("ok", None)
-            print(json.dumps(reply, indent=2, sort_keys=True))
-            return 0
-        line = (f"campaign #{reply['campaign']} ({reply['kind']}): "
-                f"{reply['state']}")
-        progress = reply.get("progress") or {}
-        if progress.get("jobs_total"):
-            line += (f"  [{progress.get('jobs_done', 0)}"
-                     f"/{progress['jobs_total']} jobs]")
-        print(line)
-        if reply.get("error"):
-            print(reply["error"].strip())
-        return 0
-
-    return _with_client(args, action)
-
-
-def _cmd_results(args) -> int:
-    async def action(client) -> int:
-        reply = await client.results(args.campaign)
-        print(reply["report"])
-        return 0
-
-    return _with_client(args, action)
-
-
-def _cmd_cancel(args) -> int:
-    async def action(client) -> int:
-        reply = await client.cancel(args.campaign)
-        print(f"campaign #{reply['campaign']}: {reply['state']}")
-        return 0
-
-    return _with_client(args, action)
-
-
-def _cmd_health(args) -> int:
-    async def action(client) -> int:
-        reply = await client.health()
-        if args.json:
-            reply.pop("ok", None)
-            print(json.dumps(reply, indent=2, sort_keys=True))
-            return 0
-        states = reply.get("states") or {}
-        tally = ", ".join(f"{state}={count}"
-                          for state, count in sorted(states.items()))
-        print(f"queue depth: {reply['queue_depth']}"
-              + (f"  ({tally})" if tally else ""))
-        lag = reply.get("lease_lag_s")
-        if lag is not None:
-            print(f"lease lag: {lag:.1f}s")
-        dead = reply.get("dead_letters") or 0
-        if dead:
-            print(f"dead-lettered campaigns: {dead}")
-        supervision = reply.get("supervision") or {}
-        if any(supervision.values()):
-            print("supervision: " + ", ".join(
-                f"{key}={value}"
-                for key, value in sorted(supervision.items())))
-        return 0
-
-    return _with_client(args, action)
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "profile": _cmd_profile,
@@ -695,12 +591,6 @@ _COMMANDS = {
     "workloads": _cmd_workloads,
     "faults": _cmd_faults,
     "events": _cmd_events,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "status": _cmd_status,
-    "results": _cmd_results,
-    "cancel": _cmd_cancel,
-    "health": _cmd_health,
 }
 
 

@@ -135,9 +135,8 @@ def summarize_result(result) -> RunSummary:
 
 
 # ----------------------------------------------------------------------
-# Store round-trip: summaries as plain JSON documents
-# (repro.service.store persists these; the reload must be
-# value-identical so reports re-render byte-for-byte)
+# Summaries as plain JSON documents (the e2e benchmark's sim_digest
+# hashes this dict, so its keys and values must not drift)
 # ----------------------------------------------------------------------
 def summary_to_dict(summary: RunSummary) -> dict:
     """Flatten a :class:`RunSummary` to a JSON-safe document.
@@ -166,39 +165,6 @@ def summary_to_dict(summary: RunSummary) -> dict:
         "metrics": (summary.metrics.to_dicts()
                     if summary.metrics is not None else None),
     }
-
-
-_COUNTER_FIELDS = frozenset(f.name for f in fields(CommCounters))
-
-
-def summary_from_dict(doc: dict) -> RunSummary:
-    """Rebuild the exact :class:`RunSummary` a document was made from."""
-    mismatch = (MismatchSummary(**doc["mismatch"])
-                if doc.get("mismatch") is not None else None)
-    metrics = (MetricsSnapshot.from_dicts(doc["metrics"])
-               if doc.get("metrics") is not None else None)
-    return RunSummary(
-        passed=doc["passed"],
-        exit_code=doc["exit_code"],
-        cycles=doc["cycles"],
-        instructions=doc["instructions"],
-        # Keys of retired counters in documents written by older
-        # versions are dropped, so an existing store still loads.
-        counters=CommCounters(**{
-            name: value for name, value in doc["counters"].items()
-            if name in _COUNTER_FIELDS}),
-        mismatch=mismatch,
-        debug_report_text=doc.get("debug_report_text"),
-        uart_output=doc.get("uart_output", ""),
-        events_captured=doc["events_captured"],
-        events_transmitted=doc["events_transmitted"],
-        fusion_ratio=doc["fusion_ratio"],
-        packet_utilization=doc["packet_utilization"],
-        max_queue_occupancy=doc["max_queue_occupancy"],
-        backpressure_events=doc["backpressure_events"],
-        checkpoints=doc["checkpoints"],
-        metrics=metrics,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -39,8 +39,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterator, List, NamedTuple, Optional, \
-    Tuple, Type
+from typing import ClassVar, Dict, List, NamedTuple, Optional, Tuple, Type
 
 
 class EventCategory(enum.Enum):
@@ -84,10 +83,6 @@ class FieldSpec(NamedTuple):
     name: str
     code: str
     count: int = 1
-
-    @property
-    def byte_size(self) -> int:
-        return struct.calcsize("<" + self.code) * self.count
 
 
 @dataclass(frozen=True)
@@ -535,11 +530,6 @@ def event_classes_by_id() -> List[Optional[Type[VerificationEvent]]]:
 def all_event_classes() -> List[Type[VerificationEvent]]:
     """All registered event classes, ordered by event id."""
     return [_REGISTRY[i] for i in sorted(_REGISTRY)]
-
-
-def iter_descriptors() -> Iterator[EventDescriptor]:
-    for cls in all_event_classes():
-        yield cls.DESCRIPTOR
 
 
 def aggregate_interface_size() -> int:

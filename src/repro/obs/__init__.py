@@ -156,33 +156,6 @@ def snapshot_from_stats(stats) -> MetricsSnapshot:
     return registry.snapshot()
 
 
-#: The headline metrics a campaign progress event carries, in report
-#: order.  All are counters under :func:`record_run_stats` names, so an
-#: incremental merge of per-job snapshots yields running campaign totals.
-PROGRESS_METRICS = (
-    "run.cycles",
-    "run.instructions",
-    "comm.invokes",
-    "comm.bytes_sent",
-    "checker.compares",
-)
-
-
-def progress_view(snapshot: Optional[MetricsSnapshot]) -> dict:
-    """Headline counter totals of a (possibly partial) campaign merge.
-
-    The campaign service derives its incremental progress events from
-    this view: each finished job's snapshot is merged into a running
-    aggregate and the updated totals are streamed to watchers.  Returns
-    ``{}`` for ``None``/empty snapshots so unobserved jobs degrade to
-    pure job-count progress.
-    """
-    if not snapshot:
-        return {}
-    return {name: snapshot.value(name) for name in PROGRESS_METRICS
-            if name in snapshot.metrics}
-
-
 __all__ = [
     "Counter",
     "DEFAULT_BOUNDS",
@@ -195,14 +168,12 @@ __all__ = [
     "NULL_OBS",
     "NULL_TRACER",
     "ObsContext",
-    "PROGRESS_METRICS",
     "PhaseStat",
     "SpanRecord",
     "Tracer",
     "chrome_trace",
     "chrome_trace_events",
     "metrics_lines",
-    "progress_view",
     "record_run_stats",
     "record_slicing",
     "record_supervision",

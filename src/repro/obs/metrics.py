@@ -204,29 +204,6 @@ class MetricRecord:
                        bucket_counts=list(self.bucket_counts))
         return out
 
-    @staticmethod
-    def from_dict(doc: dict) -> "MetricRecord":
-        """Rebuild a record from its :meth:`to_dict` form.
-
-        The inverse the persistent result store relies on: a snapshot
-        written as JSON must reload value-identical, so campaign
-        aggregation over reloaded results merges exactly like the live
-        run's.
-        """
-        if doc["kind"] != "histogram":
-            return MetricRecord(doc["name"], doc["kind"],
-                                value=doc["value"])
-        return MetricRecord(
-            doc["name"], "histogram",
-            value=doc["value"],
-            count=doc["count"],
-            total=doc["total"],
-            minimum=doc.get("min"),
-            maximum=doc.get("max"),
-            bounds=tuple(doc.get("bounds", ())),
-            bucket_counts=tuple(doc.get("bucket_counts", ())),
-        )
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
@@ -273,13 +250,6 @@ class MetricsSnapshot:
     def to_dicts(self) -> List[dict]:
         """All records as plain dicts, deterministically ordered."""
         return [record.to_dict() for record in self.records()]
-
-    @staticmethod
-    def from_dicts(docs: Iterable[dict]) -> "MetricsSnapshot":
-        """Rebuild a snapshot from :meth:`to_dicts` output."""
-        records = [MetricRecord.from_dict(doc) for doc in docs]
-        return MetricsSnapshot({record.name: record
-                                for record in records})
 
 
 # ----------------------------------------------------------------------

@@ -158,10 +158,6 @@ class Tracer:
         """Per-phase aggregate stats (uncapped, order by insertion)."""
         return dict(self._aggregate)
 
-    @property
-    def elapsed_us(self) -> float:
-        return (time.perf_counter() - self._epoch) * 1e6
-
 
 #: Shared disabled tracer (the zero-cost default).
 NULL_TRACER = Tracer(enabled=False)

@@ -7,9 +7,9 @@ run helpers.  (The fuzz campaign lives with its generator in
 collector in :func:`repro.analysis.sweeps.collect_measured_points`.)
 
 Spec building is split from execution (``fault_specs`` /
-``ladder_specs``) so other schedulers — the campaign service queue in
-particular — can reuse the exact job definitions without going through
-the one-shot run helpers.
+``ladder_specs``) so a caller that drives its own
+:class:`CampaignExecutor` (a custom supervision policy, a chaos-wrapped
+executor) runs the exact job definitions of the one-shot run helpers.
 """
 
 from __future__ import annotations

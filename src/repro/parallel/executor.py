@@ -121,7 +121,7 @@ def _attempt_with_watchdog(runner, params, timeout: float):
     thread and give up on it after ``timeout`` seconds.
 
     This is the fallback for non-main-thread and non-POSIX hosts (an
-    executor embedded in a threaded service, Windows).  On expiry a
+    executor driven from a worker thread, Windows).  On expiry a
     :class:`JobTimeout` is injected into the runner thread so pure-Python
     runners unwind, and the attempt is charged as timed out regardless.
     """
@@ -150,8 +150,8 @@ def _attempt_with_timeout(runner, params, timeout: Optional[float]):
 
     Prefers ``SIGALRM``, which requires a POSIX platform *and* the main
     thread of the process; pool workers and the serial in-process mode
-    both qualify.  Anywhere else (an executor embedded in a threaded
-    host, non-POSIX platforms) the attempt runs under a watchdog thread
+    both qualify.  Anywhere else (an executor driven from a worker
+    thread, non-POSIX platforms) the attempt runs under a watchdog thread
     instead — see :func:`_attempt_with_watchdog` — so a ``job_timeout``
     is enforced on every platform.  Only a ``timeout=None`` attempt runs
     unbounded.
@@ -243,9 +243,6 @@ class CampaignStats:
     jobs_crashed: int = 0  # jobs charged with killing their worker process
     retries_used: int = 0
     short_circuited: bool = False
-    #: A ``should_stop`` hook asked the campaign to stop between jobs
-    #: (service-side cancellation / graceful shutdown).
-    stopped: bool = False
     workers: int = 1
     wall_time_s: float = 0.0
     busy_time_s: float = 0.0
@@ -388,22 +385,13 @@ class CampaignExecutor:
 
     # ------------------------------------------------------------------
     def run(self, specs: Iterable[JobSpec],
-            on_result: Optional[Callable[[JobResult], None]] = None,
-            should_stop: Optional[Callable[[], bool]] = None
+            on_result: Optional[Callable[[JobResult], None]] = None
             ) -> CampaignResult:
         """Execute all jobs; fold results in submission order.
 
         ``on_result`` is invoked once per consumed job, in submission
         order regardless of worker count (this is what lets the CLI
         stream identical per-job lines in serial and parallel modes).
-
-        ``should_stop`` is polled between consumed jobs (never mid-job):
-        when it returns True the campaign stops cooperatively — pending
-        pool futures are cancelled, already-consumed results are kept,
-        and ``stats.stopped`` is set.  This is the cancellation hook the
-        campaign service uses; the consumed prefix stays identical to a
-        serial run's, so a stopped campaign is still deterministic up to
-        its stop point.
 
         ``specs`` may be a lazy iterable: specs are submitted as they
         are produced, so a producer that does real work per spec (the
@@ -421,15 +409,12 @@ class CampaignExecutor:
         consume = self._wrap_on_result(on_result, start)
         supervisor: Optional[_PoolSupervisor] = None
         if self.workers == 1:
-            jobs, submitted, stopped = self._run_serial(
-                spec_iter, consume, should_stop)
+            jobs, submitted = self._run_serial(spec_iter, consume)
         else:
             supervisor = _PoolSupervisor(self)
-            jobs, submitted, stopped = supervisor.run(
-                spec_iter, consume, should_stop)
+            jobs, submitted = supervisor.run(spec_iter, consume)
         wall = time.perf_counter() - start
         stats = self._rollup(submitted, jobs, wall)
-        stats.stopped = stopped
         if supervisor is not None:
             stats.pool_restarts = supervisor.pool_restarts
             stats.requeues = supervisor.requeues
@@ -463,16 +448,12 @@ class CampaignExecutor:
         return consume
 
     # ------------------------------------------------------------------
-    def _run_serial(self, specs, on_result, should_stop=None):
+    def _run_serial(self, specs, on_result):
         jobs: List[JobResult] = []
         submitted: List[JobSpec] = []
         spec_iter = iter(specs)
-        stopped = False
         for index, spec in enumerate(spec_iter):
             submitted.append(spec)
-            if should_stop is not None and should_stop():
-                stopped = True
-                break
             result = execute_job(spec, index, self.job_timeout, self.retries)
             jobs.append(result)
             if on_result is not None:
@@ -484,7 +465,7 @@ class CampaignExecutor:
                 if leftover is not None:
                     submitted.append(leftover)
                 break
-        return jobs, submitted, stopped
+        return jobs, submitted
 
     # ------------------------------------------------------------------
     def _rollup(self, specs, jobs, wall: float) -> CampaignStats:
@@ -522,7 +503,7 @@ class _PoolSupervisor:
 
     The consumption pointer walks ``done`` in submission order, so the
     folding contract of :meth:`CampaignExecutor.run` (callbacks in
-    submission order, short-circuit/stop semantics identical to serial
+    submission order, short-circuit semantics identical to serial
     mode) is preserved no matter how often the pool is rebuilt.
     """
 
@@ -553,29 +534,20 @@ class _PoolSupervisor:
         self.max_inflight = 0
 
     # -- lifecycle -----------------------------------------------------
-    def run(self, specs, on_result, should_stop=None):
+    def run(self, specs, on_result):
         self.spec_iter = iter(specs)
         jobs: List[JobResult] = []
-        stopped = False
         try:
             while True:
                 # Fold every result whose submission-order turn has come.
                 while len(jobs) in self.done:
-                    if should_stop is not None and should_stop():
-                        stopped = True
-                        break
                     result = self.done.pop(len(jobs))
                     jobs.append(result)
                     if on_result is not None:
                         on_result(result)
                     if self.executor.short_circuit and not result.passed:
                         self._note_leftover()
-                        return jobs, self.submitted, stopped
-                if stopped:
-                    break
-                if should_stop is not None and should_stop():
-                    stopped = True
-                    break
+                        return jobs, self.submitted
                 self._top_up()
                 if not self.inflight:
                     if self.done:
@@ -584,7 +556,7 @@ class _PoolSupervisor:
                 self._wait_step()
         finally:
             self._close()
-        return jobs, self.submitted, stopped
+        return jobs, self.submitted
 
     # -- submission ----------------------------------------------------
     def _top_up(self) -> None:

@@ -12,7 +12,7 @@ from .chaos import (
 from .compare import compare_runs, load_stats_dict, stats_to_dict, stats_to_json
 from .perfcounters import render_event_profile, render_report, \
     render_snapshot_report
-from .sqltrace import TraceDb, connect
+from .sqltrace import TraceDb
 from .tracedump import TraceCheckResult, TraceReader, TraceWriter, replay_trace
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "render_report",
     "render_snapshot_report",
     "TraceDb",
-    "connect",
     "TraceCheckResult",
     "TraceReader",
     "TraceWriter",

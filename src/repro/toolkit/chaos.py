@@ -29,8 +29,8 @@ to the summary, so a transiently-faulted campaign's report is
 in ``tests/test_chaos.py`` pins.
 
 ``times=POISON`` makes the fault permanent: the job can never complete
-and must end quarantined (executor) or dead-lettered/reported (service,
-slicing) — recovered-or-reported, never silent loss.
+and must end quarantined (executor) or reported (slicing) —
+recovered-or-reported, never silent loss.
 """
 
 from __future__ import annotations
@@ -150,18 +150,17 @@ def chaos_specs(specs: Iterable[JobSpec],
 class ChaosExecutor(CampaignExecutor):
     """A :class:`CampaignExecutor` that chaos-wraps every spec stream.
 
-    The seam for layers that build their own executor internally: the
-    campaign service's ``executor_factory`` can return one of these to
-    fault-inject service submissions without the service knowing.
+    A drop-in wherever a caller drives its own executor: the job specs
+    and the folding are those of a plain executor, only the faulted
+    indices run under the ``"chaos"`` job kind.
     """
 
     def __init__(self, plan: ChaosPlan, **kwargs) -> None:
         super().__init__(**kwargs)
         self.plan = plan
 
-    def run(self, specs, on_result=None, should_stop=None):
-        return super().run(self.plan.wrap(specs), on_result=on_result,
-                           should_stop=should_stop)
+    def run(self, specs, on_result=None):
+        return super().run(self.plan.wrap(specs), on_result=on_result)
 
 
 # ----------------------------------------------------------------------

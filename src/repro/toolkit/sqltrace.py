@@ -5,13 +5,10 @@ analysis, and re-simulates what-if fusion/differencing strategies on the
 recorded trace — "fully exploiting event correlations" without re-running
 the DUT.
 
-:func:`connect` is the shared SQLite entry point for every durable
-database in the tree (this trace store and the
-:mod:`repro.service.store` job queue): WAL journaling so concurrent
-readers never block the single writer, ``synchronous=NORMAL`` so commits
-cost one fsync of the WAL instead of two of the main file — the standard
-durable-queue configuration (a power loss can lose the final commit,
-never corrupt the database).
+A file-backed :class:`TraceDb` opens with WAL journaling, so readers
+never block the writer, and ``synchronous=NORMAL``, so a commit costs
+one fsync of the WAL instead of two of the main file (a power loss can
+lose the final commit, never corrupt the database).
 """
 
 from __future__ import annotations
@@ -21,21 +18,6 @@ from typing import Iterable, List, Tuple
 
 from ..comm.fusion.squash import OrderCoupledFuser, SquashFuser
 from ..events import VerificationEvent, event_class
-
-
-def connect(path: str = ":memory:") -> sqlite3.Connection:
-    """Open a SQLite database with the shared durability pragmas.
-
-    ``check_same_thread=False`` because service callbacks may touch the
-    connection from executor threads; callers serialise access
-    themselves (SQLite's own locking protects the file).  In-memory
-    databases ignore the WAL pragma (they have no journal) — the
-    connection is still valid, just non-durable by definition.
-    """
-    db = sqlite3.connect(path, check_same_thread=False)
-    db.execute("PRAGMA journal_mode=WAL")
-    db.execute("PRAGMA synchronous=NORMAL")
-    return db
 
 
 _SCHEMA = """
@@ -59,7 +41,11 @@ class TraceDb:
     """A SQLite-backed event trace."""
 
     def __init__(self, path: str = ":memory:") -> None:
-        self._db = connect(path)
+        # In-memory databases ignore the WAL pragma (they have no
+        # journal); the connection is still valid, just not durable.
+        self._db = sqlite3.connect(path)
+        self._db.execute("PRAGMA journal_mode=WAL")
+        self._db.execute("PRAGMA synchronous=NORMAL")
         self._db.executescript(_SCHEMA)
         self._closed = False
 

@@ -259,8 +259,9 @@ def fuzz_specs(seeds, length: int = 120, dut_config=None,
                diff_config=None):
     """The job specs of a fuzz campaign, in seed order.
 
-    Split out of :func:`fuzz_campaign` so other schedulers (the
-    campaign service queue) submit the identical job definitions.
+    Split out of :func:`fuzz_campaign` so a caller driving its own
+    executor (the e2e benchmark, the chaos harness) runs the identical
+    job definitions.
     """
     from ..parallel import JobSpec
 

@@ -8,24 +8,24 @@ the recovered-or-reported contract:
 * transient faults recover with reports **value-identical** to a
   fault-free run (the supervisor is invisible when it wins),
 * permanent faults end **explicitly reported** — quarantined by the
-  executor, ``SliceExecutionError`` from the slicer, a CRASH line in a
-  service report — never silently lost, never misattributed to a DUT
-  mismatch.
+  executor with a CRASH line in the campaign report, or
+  ``SliceExecutionError`` from the slicer — never silently lost, never
+  misattributed to a DUT mismatch.
 
 The chaos matrix at the bottom covers {kill, hang, poison} x
-{fuzz campaign, sliced run, service submission}.
+{fuzz campaign, sliced run}.
 
 All tests fork worker pools and kill them on purpose, so they carry the
 ``chaos`` marker; CI runs them in a separate, non-gating lane
 (``pytest -m chaos``).
 """
 
-import asyncio
 import threading
 import time
 
 import pytest
 
+from repro.cli import render_fuzz
 from repro.core import CONFIG_BNSD
 from repro.core.summary import RunSummary
 from repro.dut import NUTSHELL, XIANGSHAN_DEFAULT
@@ -38,13 +38,6 @@ from repro.parallel import (
     sliced_run,
 )
 from repro.parallel.executor import JobTimeout, _attempt_with_timeout
-from repro.service import (
-    CampaignService,
-    InProcessClient,
-    ServiceStore,
-    build_submission,
-)
-from repro.service.render import render_fuzz
 from repro.toolkit import POISON, ChaosExecutor, ChaosFault, ChaosPlan
 from repro.toolkit.chaos import chaos_specs
 from repro.workloads import build
@@ -307,7 +300,7 @@ class TestWatchdogFallback:
 
 
 # ----------------------------------------------------------------------
-# The chaos matrix: {kill, hang, poison} x {fuzz, sliced run, service}
+# The chaos matrix: {kill, hang, poison} x {fuzz, sliced run}
 # ----------------------------------------------------------------------
 FUZZ_SEEDS = range(4)
 FUZZ_LEN = 20
@@ -412,116 +405,3 @@ class TestMatrixSliced:
             self._sliced(workers=2, retries=1,
                          supervision=_policy(poison_threshold=2),
                          spec_wrapper=plan.wrap)
-
-
-class TestMatrixService:
-    PARAMS = {"seeds": 2, "length": 25}
-
-    def _reference_report(self, path):
-        async def scenario():
-            with ServiceStore(path) as store:
-                service = CampaignService(store, workers=1)
-                client = InProcessClient(service)
-                await service.start()
-                reply = await client.submit("fuzz", self.PARAMS)
-                assert await client.wait(reply["campaign"]) == "done"
-                report = (await client.results(
-                    reply["campaign"]))["report"]
-                await service.stop()
-                return report
-
-        return asyncio.run(scenario())
-
-    def _chaotic_report(self, path, plan, policy):
-        def factory(submission):
-            return ChaosExecutor(
-                plan, workers=2, retries=1, supervision=policy,
-                collect_metrics=True,
-                short_circuit=submission.short_circuit)
-
-        async def scenario():
-            with ServiceStore(path) as store:
-                service = CampaignService(store,
-                                          executor_factory=factory)
-                client = InProcessClient(service)
-                await service.start()
-                reply = await client.submit("fuzz", self.PARAMS)
-                state = await client.wait(reply["campaign"])
-                report = (await client.results(
-                    reply["campaign"]))["report"]
-                health = await service.health()
-                await service.stop()
-                return state, report, health
-
-        return asyncio.run(scenario())
-
-    def test_kill_submission_report_identical(self, tmp_path):
-        reference = self._reference_report(str(tmp_path / "ref.db"))
-        plan = ChaosPlan({0: ChaosFault("kill", times=1)},
-                         scratch_dir=str(tmp_path / "scratch"))
-        state, report, health = self._chaotic_report(
-            str(tmp_path / "chaos.db"), plan, _policy())
-        assert state == "done"
-        assert report == reference
-        assert health["supervision"]["pool_restarts"] >= 1
-
-    def test_hang_submission_report_identical(self, tmp_path):
-        reference = self._reference_report(str(tmp_path / "ref.db"))
-        plan = ChaosPlan(
-            {1: ChaosFault("hang", times=1, hang_s=30.0)},
-            scratch_dir=str(tmp_path / "scratch"))
-
-        def factory(submission):
-            return ChaosExecutor(
-                plan, workers=2, retries=1, job_timeout=2.0,
-                supervision=_policy(parent_grace_s=1.0),
-                collect_metrics=True,
-                short_circuit=submission.short_circuit)
-
-        async def scenario():
-            with ServiceStore(str(tmp_path / "chaos.db")) as store:
-                service = CampaignService(store,
-                                          executor_factory=factory)
-                client = InProcessClient(service)
-                await service.start()
-                reply = await client.submit("fuzz", self.PARAMS)
-                state = await client.wait(reply["campaign"])
-                report = (await client.results(
-                    reply["campaign"]))["report"]
-                await service.stop()
-                return state, report
-
-        state, report = asyncio.run(scenario())
-        assert state == "done"
-        assert report == reference
-
-    def test_poison_submission_reports_quarantine(self, tmp_path):
-        plan = ChaosPlan({1: ChaosFault("kill", times=POISON)},
-                         scratch_dir=str(tmp_path / "scratch"))
-        state, report, health = self._chaotic_report(
-            str(tmp_path / "chaos.db"), plan,
-            _policy(poison_threshold=2))
-        assert state == "done"  # recovered-or-reported: reported
-        assert "CRASH" in report
-        assert "1 poison job(s) quarantined: seed 1" in report
-        assert health["supervision"]["poison_quarantined"] == 1
-
-    def test_crashed_and_quarantined_survive_store_roundtrip(
-            self, tmp_path):
-        """The store must carry the crash flags: a reloaded result
-        renders the identical report (CRASH line, quarantine footer)."""
-        plan = ChaosPlan({1: ChaosFault("kill", times=POISON)},
-                         scratch_dir=str(tmp_path / "scratch"))
-        path = str(tmp_path / "chaos.db")
-        _, report, _ = self._chaotic_report(
-            path, plan, _policy(poison_threshold=2))
-        with ServiceStore(path) as store:
-            campaign_id = store.campaigns()[0].id
-            result = store.load_result(campaign_id)
-            assert result.jobs[1].crashed
-            assert result.jobs[1].quarantined
-            assert result.jobs[1].verdict() == "CRASH"
-            submission = build_submission("fuzz", self.PARAMS)
-            rendered = render_fuzz(result, self.PARAMS.get("start", 0),
-                                   submission.params["seeds"])
-            assert rendered == report

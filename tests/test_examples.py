@@ -25,8 +25,6 @@ EXPECT = {
                        "Chrome trace", "metrics JSONL"],
     "sliced_run.py": ["per-slice windows", "stitched counters",
                       "byte-identical to serial: True"],
-    "service_demo.py": ["cache hit: True", "re-queued orphans",
-                        "re-run report identical to original: True"],
     "chaos_campaign.py": ["report identical to reference: True",
                           "quarantined",
                           "surviving seeds identical to reference: True"],

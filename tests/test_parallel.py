@@ -5,15 +5,18 @@ them separately (they fork a worker pool); run just these with
 ``pytest -m campaign``.
 """
 
+import json
 import pickle
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
 from repro.core import CONFIG_BNSD, run_cosim
-from repro.core.summary import RunSummary
+from repro.core.summary import MismatchSummary, RunSummary, summary_to_dict
 from repro.dut import XIANGSHAN_DEFAULT
+from repro.obs import MetricRegistry
 from repro.parallel import (
     CampaignExecutor,
     JobSpec,
@@ -83,6 +86,23 @@ class TestJobProtocol:
         campaign = CampaignExecutor(workers=1).run([spec])
         job = campaign.jobs[0]
         assert pickle.loads(pickle.dumps(job)) == job
+
+    def test_summary_to_dict_is_json_safe_and_complete(self):
+        registry = MetricRegistry()
+        registry.counter("run.cycles").inc(10)
+        summary = RunSummary(
+            passed=False, exit_code=1, cycles=10, instructions=5,
+            mismatch=MismatchSummary(
+                core_id=0, slot=1, event_type="InstrCommit",
+                field_name="pc", expected="0x80000000",
+                actual="0x80000004", component="rob", cycle=42,
+                description="pc mismatch at cycle 42"),
+            metrics=registry.snapshot())
+        doc = summary_to_dict(summary)
+        assert json.loads(json.dumps(doc)) == doc
+        assert set(doc) == {f.name for f in fields(RunSummary)}
+        assert doc["mismatch"]["cycle"] == 42
+        assert doc["metrics"] == summary.metrics.to_dicts()
 
     def test_run_summary_matches_run_result(self):
         workload = build("microbench")
@@ -175,37 +195,6 @@ class TestDeterminism:
         assert "aggregate: 2/2 passed" in rendered
         # Timing lives in the separate rollup instead.
         assert "jobs/s" in campaign.stats.rollup()
-
-
-# ----------------------------------------------------------------------
-# Cooperative stop (the campaign service's cancellation hook)
-# ----------------------------------------------------------------------
-class TestShouldStop:
-    @pytest.mark.campaign
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_stop_after_three_consumed_jobs(self, workers):
-        if workers > 1:
-            pytest.importorskip("multiprocessing")
-        consumed = []
-        campaign = CampaignExecutor(workers=workers).run(
-            _specs("test-pass", 8),
-            on_result=lambda job: consumed.append(job.index),
-            should_stop=lambda: len(consumed) >= 3)
-        assert consumed == [0, 1, 2]
-        assert len(campaign.jobs) == 3
-        assert campaign.stats.stopped
-        # the consumed prefix is identical to a serial run's prefix
-        assert [job.index for job in campaign.jobs] == [0, 1, 2]
-
-    def test_stop_before_first_job_runs_nothing(self):
-        campaign = CampaignExecutor(workers=1).run(
-            _specs("test-pass", 4), should_stop=lambda: True)
-        assert campaign.jobs == []
-        assert campaign.stats.stopped
-
-    def test_no_stop_hook_leaves_flag_clear(self):
-        campaign = CampaignExecutor(workers=1).run(_specs("test-pass", 2))
-        assert not campaign.stats.stopped
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.toolkit import (
     TraceDb,
     TraceReader,
     TraceWriter,
-    connect,
     render_event_profile,
     render_report,
     replay_trace,
@@ -64,21 +63,13 @@ class TestSqlTrace:
             yield db
 
     def test_file_backed_db_uses_wal(self, tmp_path):
-        # durable-queue configuration: WAL journaling with
-        # synchronous=NORMAL (fsync on checkpoint, not on every commit)
+        # WAL journaling with synchronous=NORMAL (fsync on checkpoint,
+        # not on every commit)
         with TraceDb(str(tmp_path / "trace.db")) as db:
             (journal,) = db._db.execute("PRAGMA journal_mode").fetchone()
             (sync,) = db._db.execute("PRAGMA synchronous").fetchone()
             assert journal == "wal"
             assert sync == 1  # NORMAL
-
-    def test_shared_connect_helper_applies_pragmas(self, tmp_path):
-        conn = connect(str(tmp_path / "shared.db"))
-        try:
-            (journal,) = conn.execute("PRAGMA journal_mode").fetchone()
-            assert journal == "wal"
-        finally:
-            conn.close()
 
     def test_close_is_idempotent(self, small_image):
         db = TraceDb()
