@@ -27,10 +27,12 @@ Emitter source is ``exec``-compiled once per process
 (:func:`emitter_factory`); a run only binds closures over its own cells,
 priors and buffers.  Eligibility is decided when the run loop binds its
 stages (:func:`fallback_reasons`): a run that *needs* event objects — obs
-instrumentation, armed fault latches or hart hooks, order-coupled fusion
-— keeps the object path, and the wire bytes are byte-identical either
-way (pinned by ``tests/test_fastcapture_equivalence.py`` the same way
-``test_codec_equivalence.py`` pins the codecs).
+instrumentation or order-coupled fusion — keeps the object path, and the
+wire bytes are byte-identical either way (pinned by
+``tests/test_fastcapture_equivalence.py`` the same way
+``test_codec_equivalence.py`` pins the codecs).  An armed fault is no
+reason: hart hooks act below the monitor, and monitor wrappers call
+through ``Monitor._emit``'s dispatch, so they corrupt the same wire.
 """
 
 from __future__ import annotations
@@ -47,28 +49,10 @@ from .packing.base import ENC_DIFF
 
 #: Canonical fallback-reason order (stable across runs and slices, so
 #: sliced-window unions reproduce the serial tuple exactly).
-FALLBACK_REASONS = ("obs", "faults", "order_coupled")
+FALLBACK_REASONS = ("obs", "order_coupled")
 
 
-def _core_needs_objects(core) -> bool:
-    """An armed fault latch or hart hook pins a core to the object path
-    (mirrors the per-cycle JIT eligibility gate in ``DutCore.cycle``:
-    injected bugs must flow through the paths they were written against,
-    and reg-write/store/trap hooks observe materialised state)."""
-    if getattr(core, "_fault_latch", None) is not None:
-        return True
-    # Instance-level monitor overrides (probe-corruption faults wrap
-    # ``_emit``; CSR-corruption faults wrap ``end_of_cycle_state``) must
-    # keep the object path even if they forgot to arm a latch.
-    overrides = core.monitor.__dict__
-    if "_emit" in overrides or "end_of_cycle_state" in overrides:
-        return True
-    hooks = core.hart.hooks
-    return (hooks.on_reg_write is not None or hooks.on_store is not None
-            or hooks.on_trap is not None)
-
-
-def fallback_reasons(diff_config, obs_on: bool, cores) -> List[str]:
+def fallback_reasons(diff_config, obs_on: bool) -> List[str]:
     """Why this run must keep the event-object capture path.
 
     Returns a list drawn from :data:`FALLBACK_REASONS`, empty when the
@@ -78,8 +62,6 @@ def fallback_reasons(diff_config, obs_on: bool, cores) -> List[str]:
     if obs_on:
         # The tracer spans wrap the object path's stages.
         reasons.append("obs")
-    if any(_core_needs_objects(core) for core in cores):
-        reasons.append("faults")
     if diff_config.squash and diff_config.order_coupled:
         # Order-coupled fusion breaks on every NDE/exception — a control
         # flow the emitters do not re-express; it exists as a comparator,

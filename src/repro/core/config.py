@@ -43,9 +43,9 @@ class DiffConfig:
     #: code, compiled once per process and bound per run.  On by default;
     #: ``jit=False`` pins both harts to the interpreter, the behavioural
     #: reference the equivalence suite compares against.  Events, wire
-    #: bytes, counters and reports are byte-identical either way; any
-    #: armed fault, trap, interrupt or translation window falls back to
-    #: the interpreter by itself.
+    #: bytes, counters and reports are byte-identical either way; traps,
+    #: interrupts, translation windows and any cycle an armed fault's
+    #: latch can fire in fall back to the interpreter by themselves.
     jit: bool = True
 
     def with_(self, **changes) -> "DiffConfig":

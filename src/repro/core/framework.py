@@ -342,8 +342,7 @@ class CoSimulation:
         are recorded on the run stats).  An engine that is already
         attached stays — it holds the open fusion window, and every
         rebuild of what it points at re-attaches it there."""
-        reasons = fallback_reasons(self.diff_config, self._obs_on,
-                                   self.dut.cores)
+        reasons = fallback_reasons(self.diff_config, self._obs_on)
         self.stats.capture_fallbacks = tuple(reasons)
         if reasons:
             self._detach_capture()

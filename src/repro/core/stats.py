@@ -60,7 +60,7 @@ class RunStats:
     replay_buffer_peak: int = 0
     checkpoints: int = 0
     #: Why the straight-to-wire capture tier was ineligible for this
-    #: run — e.g. ("obs", "faults"); empty for an eligible run.
+    #: run — e.g. ("obs", "order_coupled"); empty for an eligible run.
     capture_fallbacks: tuple = ()
     #: Cycles advanced without a loop trip; horizon-dependent, so not compared.
     idle_cycles_skipped: int = field(default=0, compare=False)

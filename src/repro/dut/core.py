@@ -88,8 +88,8 @@ class DutCore:
         #: Optional :class:`repro.isa.jit.TraceCache` (mode="dut") attached
         #: by the framework; :meth:`cycle` dispatches through it when set.
         self.jit = None
-        #: Armed fault latch (set by :mod:`repro.dut.faults`); any armed
-        #: fault pins this core to the interpreted path for the whole run.
+        #: Armed fault latch (set by :mod:`repro.dut.faults`): compiled
+        #: blocks run only in cycles it cannot fire in (see :meth:`cycle`).
         self._fault_latch = None
         #: (csr version, mtip, msip, eip) after the last MIP line force.
         self._irq_lines: Optional[tuple] = None
@@ -163,18 +163,22 @@ class DutCore:
         bundle = CycleBundle(self.cycle_count, self.core_id)
         fast_mark = self.monitor.fast_events
         events = bundle.events
-        # Compiled-simulation tier (repro.isa.jit): eligible only while no
-        # fault is armed and no hooks are installed — injected bugs must
-        # flow through the interpreted path they were written against.
+        # Compiled-simulation tier (repro.isa.jit): blocks call no hooks,
+        # so an armed fault allows them only in a cycle whose whole budget
+        # its latch cannot fire in; hooks with no latch (no known horizon)
+        # pin the interpreter.
         jit = self.jit
-        hooks = self.hart.hooks
-        if jit is not None and (
-            self._fault_latch is not None
-            or hooks.on_reg_write is not None
-            or hooks.on_store is not None
-            or hooks.on_trap is not None
-        ):
-            jit = None
+        if jit is not None:
+            latch = self._fault_latch
+            if latch is not None:
+                if not latch.quiet(self.hart.instret, budget):
+                    jit = None
+            else:
+                hooks = self.hart.hooks
+                if (hooks.on_reg_write is not None
+                        or hooks.on_store is not None
+                        or hooks.on_trap is not None):
+                    jit = None
         remaining = budget
         while remaining > 0:
             interrupt = self.hart.pending_interrupt()

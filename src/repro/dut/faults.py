@@ -49,7 +49,8 @@ class FaultSpec:
 
 class _PositionalLatch:
     """Fires at the first matching site >= trigger, and again at exactly
-    the same instruction index on any re-execution."""
+    the same instruction index on any re-execution.  Every fault arms
+    one: ``fire_at`` is None until it has fired."""
 
     def __init__(self, trigger: int) -> None:
         self.trigger = trigger
@@ -63,22 +64,23 @@ class _PositionalLatch:
             return True
         return False
 
-
-class _TrapLatchView:
-    """Adapter giving :func:`fault_pending` a uniform ``fire_at`` view of
-    the dict-based trap-corruption state."""
-
-    def __init__(self, state: dict) -> None:
-        self._state = state
-
-    @property
-    def fire_at(self) -> Optional[int]:
-        return self._state["fire_at"]
+    def quiet(self, instret: int, n: int) -> bool:
+        """True when the latch cannot fire at any index in ``[instret,
+        instret + n]``: the window ends strictly below the next index it
+        can fire at (the trigger, or ``fire_at`` once fired — re-execution
+        past a snapshot restore) or lies wholly above ``fire_at``.  Strict,
+        because a probe or CSR fault reads ``hart.instret`` after a
+        compiled block: the post-block value for every step in it."""
+        fire_at = self.fire_at
+        if fire_at is None:
+            return instret + n < self.trigger
+        return instret + n < fire_at or instret > fire_at
 
 
 def _arm(core: DutCore, latch) -> None:
-    """Record the installed fault's latch on the core, so orchestration
-    layers (checkpoint slicing) can ask whether it has fired yet."""
+    """Record the installed fault's latch on the core: ``DutCore.cycle``
+    asks it where compiled stepping is safe, orchestration layers
+    (checkpoint slicing) whether it has fired yet."""
     core._fault_latch = latch
 
 
@@ -129,23 +131,21 @@ def _store_corrupt(xor_mask: int):
 
 def _trap_corrupt(cause_xor: int, tval_xor: int, nth: int = 1):
     def installer(core: DutCore, trigger: int) -> None:
-        state = {"seen": {}, "fire_at": None}
+        latch = _PositionalLatch(trigger)
+        seen = set()  # trap indices >= trigger; the nth one fires
 
         def hook(cause: int, tval: int):
             instret = core.hart.instret
-            if state["fire_at"] is not None:
-                if instret == state["fire_at"]:
-                    return cause ^ cause_xor, tval ^ tval_xor
-                return cause, tval
-            if instret >= trigger and instret not in state["seen"]:
-                state["seen"][instret] = True
-                if len(state["seen"]) == nth:
-                    state["fire_at"] = instret
-                    return cause ^ cause_xor, tval ^ tval_xor
+            if latch.fire_at is None and instret >= trigger:
+                seen.add(instret)
+                if len(seen) == nth:
+                    latch.fire_at = instret
+            if instret == latch.fire_at:
+                return cause ^ cause_xor, tval ^ tval_xor
             return cause, tval
 
         core.hart.hooks.on_trap = hook
-        _arm(core, _TrapLatchView(state))
+        _arm(core, latch)
 
     return installer
 

@@ -60,13 +60,16 @@ Invalidation is airtight by construction:
   every code-page epoch;
 * blocks contain only instructions that cannot trap with translation
   off, and dispatch bails out to the interpreter whenever translation
-  is active, a fault hook is installed, an MMIO access shows up
-  dynamically, or an interrupt could be taken — the interpreted path
-  stays the behavioural reference for everything interesting.
+  is active, a fault hook could act (an armed fault's latch can fire in
+  the cycle, or a hook is installed with no latch), an MMIO access
+  shows up dynamically, or an interrupt could be taken — the
+  interpreted path stays the behavioural reference for everything
+  interesting.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import CodeType
 from typing import Dict, List, Optional, Tuple
 
@@ -162,17 +165,15 @@ _BRANCH_COND = {
 _TERMINALS = frozenset(_BRANCHES) | {"jal", "jalr"}
 
 
+@dataclass(slots=True)
 class JitStats:
     """Counters folded into ``repro.obs`` under ``jit.*``."""
 
-    __slots__ = ("blocks_compiled", "hits", "steps", "evictions", "bailouts")
-
-    def __init__(self) -> None:
-        self.blocks_compiled = 0
-        self.hits = 0
-        self.steps = 0
-        self.evictions = 0
-        self.bailouts = 0
+    blocks_compiled: int = 0
+    hits: int = 0
+    steps: int = 0
+    evictions: int = 0
+    bailouts: int = 0
 
 
 class CompiledBlock:
@@ -221,7 +222,9 @@ class TraceCache:
         at ``pc``; ``None`` falls back to the interpreter for one step.
 
         The caller guarantees translation is off, no interrupt is
-        pending, and no fault hooks are installed.
+        pending, and no hook can act on these steps: none is installed,
+        or the armed fault's latch cannot fire within ``max_n`` of the
+        current ``instret`` (a block calls no hooks).
         """
         block = self.blocks.get(pc)
         if block is None:

@@ -7,9 +7,10 @@ wire stream, counters and reports must match the event-object path bit
 for bit.  Every test compares a fast run/stream against a freshly
 executed object-path reference, in the style of
 ``test_jit_equivalence.py``; for whole runs the reference is the same
-run pinned to event objects by an identity trap hook (the ``"faults"``
-fallback, which changes nothing in the stream), with the replay window
-on and off on both sides.
+run pinned to event objects by a test-only fallback reason (patched into
+``repro.core.framework``) and to the interpreted DUT by an identity trap
+hook, neither of which changes the stream, with the replay window on
+and off on both sides.
 
 Coverage map:
 
@@ -23,9 +24,10 @@ Coverage map:
 * raw-record Replay vs object Replay: an un-armed mismatching run
   renders the same debug report, the slot-span bound drops the same
   slots, sliced runs fill the rebuilt buffers;
-* fallback triggers: obs instrumentation, armed faults, order-coupled
-  fusion — each recorded in ``capture_fallbacks`` — and none under any
-  ladder config's defaults;
+* fallback triggers: obs instrumentation and order-coupled fusion —
+  each recorded in ``capture_fallbacks`` — and none under any ladder
+  config's defaults, nor for an armed fault (its run is identical fast
+  vs pinned);
 * ``advance(k); run()`` keeps the open fusion window;
 * the process-wide emitter-factory cache: compiled once, shared code,
   private state;
@@ -34,6 +36,7 @@ Coverage map:
   between runs must invalidate the per-class cache).
 """
 
+import contextlib
 import dataclasses
 import random
 import struct
@@ -412,30 +415,44 @@ def test_append_api_matches_pack_cycle(packer_name):
 # End-to-end co-simulation identity (wire tap)
 # ----------------------------------------------------------------------
 
-def _pin_objects(cosim):
-    """Pin a run to event-object capture without changing its stream: an
-    identity trap hook is a ``"faults"`` fallback."""
-    for core in cosim.dut.cores:
-        core.hart.hooks.on_trap = lambda cause, tval: (cause, tval)
+#: The object-path reference's fallback reason (no ``src/`` reason pins
+#: a plain run to event objects any more).
+PINNED = ("pinned",)
+
+
+@contextlib.contextmanager
+def _capture_pinned(pin):
+    """With ``pin``, runs selecting capture inside take the object path
+    for the test-only reason :data:`PINNED`."""
+    with pytest.MonkeyPatch.context() as patch:
+        if pin:
+            patch.setattr("repro.core.framework.fallback_reasons",
+                          lambda diff_config, obs_on: list(PINNED))
+        yield
 
 
 def _tapped(config, dut=XIANGSHAN_DEFAULT, source=WORKLOAD, image=None,
             fault=None, trigger=300, obs=None, pin=False):
-    """A co-simulation whose wire is tapped; ``pin`` makes it the
-    object-path reference."""
+    """A co-simulation whose wire is tapped; ``pin`` installs an identity
+    trap hook, which keeps the DUT interpreted (with no fault latch) and
+    changes nothing in the stream — run it under
+    :func:`_capture_pinned` to make it the object-path reference."""
     cosim = CoSimulation(dut, config,
                          image if image is not None else assemble(source),
                          obs=obs)
     if fault is not None:
         fault_by_name(fault).install(cosim.dut.cores[0], trigger)
     if pin:
-        _pin_objects(cosim)
+        for core in cosim.dut.cores:
+            core.hart.hooks.on_trap = lambda cause, tval: (cause, tval)
     return cosim, tap_wire(cosim)
 
 
-def _run_tapped(config, max_cycles=60_000, **kwargs):
-    cosim, wire = _tapped(config, **kwargs)
-    return cosim.run(max_cycles=max_cycles), wire, cosim
+def _run_tapped(config, max_cycles=60_000, pin=False, **kwargs):
+    cosim, wire = _tapped(config, pin=pin, **kwargs)
+    with _capture_pinned(pin):
+        result = cosim.run(max_cycles=max_cycles)
+    return result, wire, cosim
 
 
 def _run_pair(config, **kwargs):
@@ -444,7 +461,7 @@ def _run_pair(config, **kwargs):
                                                       **kwargs)
 
 
-def _assert_stats_identical(fast, reference, pinned_by=("faults",)):
+def _assert_stats_identical(fast, reference, pinned_by=PINNED):
     """Counters, profile, fusion/packing stats, ``replay_buffer_peak``
     and the rendered report — everything but ``capture_fallbacks``."""
     assert fast.capture_fallbacks == ()
@@ -522,20 +539,24 @@ def test_run_identity_with_stalls_and_interrupts():
         _assert_identical(fast, legacy)
 
 
-def test_mismatch_detected_identically_without_replay():
-    """An armed fault forces the object path with or without the replay
-    window, so the mismatch is the reference's by construction — which
-    is exactly the guarantee the fallback exists to give."""
-    cfg = CONFIG_BNSD.with_(replay=False)
-    bare, _, cosim = _run_tapped(cfg, fault="sbuffer_lost_bytes")
-    replayed, _, _ = _run_tapped(cfg.with_(replay=True),
-                                 fault="sbuffer_lost_bytes")
-    assert cosim._capture is None
-    assert bare.stats.capture_fallbacks == ("faults",)
-    assert replayed.stats.capture_fallbacks == ("faults",)
-    assert bare.mismatch is not None and replayed.mismatch is not None
-    assert bare.summarize().mismatch == replayed.summarize().mismatch
-    assert bare.debug_report is None and replayed.debug_report is not None
+def test_faulted_run_identical_fast_vs_pinned():
+    """An armed fault corrupts below the monitor (hart hooks) or through
+    its dispatch (monitor wrappers), so its run stays straight-to-wire
+    and matches the object-path reference — wire, mismatch and Replay's
+    debug report — with the replay window on and off."""
+    # A store hook, an ``_emit`` wrapper, an ``end_of_cycle_state`` one.
+    for fault in ("sbuffer_lost_bytes", "icache_refill_corruption",
+                  "vs_dirty_wrong"):
+        for replay in REPLAY:
+            (fast, fast_wire, cosim), (legacy, legacy_wire, object_sim) = \
+                _run_pair(CONFIG_BNSD.with_(replay=replay), fault=fault)
+            assert cosim._capture is not None
+            assert object_sim._capture is None
+            assert fast.mismatch is not None
+            assert fast_wire == legacy_wire
+            _assert_identical(fast, legacy)
+            _assert_buffers_identical(cosim, object_sim)
+            assert (fast.debug_report is not None) == replay
 
 
 # ----------------------------------------------------------------------
@@ -546,9 +567,11 @@ def _diverged_run(config, pin, at=150, **kwargs):
     """A bug no fault arms: run ``at`` cycles, flip a bit of the DUT's
     accumulator behind the monitor's back, run on to the mismatch."""
     cosim, wire = _tapped(config, pin=pin, **kwargs)
-    cosim.advance(at)
-    cosim.dut.cores[0].state.xregs[6] ^= 1 << 40  # t1
-    return cosim.run(60_000), wire, cosim
+    with _capture_pinned(pin):
+        cosim.advance(at)
+        cosim.dut.cores[0].state.xregs[6] ^= 1 << 40  # t1
+        result = cosim.run(60_000)
+    return result, wire, cosim
 
 
 def test_unarmed_mismatch_replays_identically_from_raw_records():
@@ -626,13 +649,16 @@ def test_fallback_order_coupled():
 
 def test_fallback_reasons_canonical_order_and_hooks():
     cfg = CONFIG_COUPLED  # squash + order_coupled + replay default
-    cosim = CoSimulation(XIANGSHAN_DEFAULT, cfg, assemble(WORKLOAD))
-    fault_by_name("control_flow_wdata").install(cosim.dut.cores[0], 100)
-    reasons = fallback_reasons(cfg, True, cosim.dut.cores)
-    assert reasons == ["obs", "faults", "order_coupled"]
+    reasons = fallback_reasons(cfg, True)
+    assert reasons == ["obs", "order_coupled"]
     assert tuple(reasons) == FALLBACK_REASONS
-    clean = CoSimulation(XIANGSHAN_DEFAULT, CONFIG_BNSD, assemble(WORKLOAD))
-    assert fallback_reasons(clean.diff_config, False, clean.dut.cores) == []
+    assert fallback_reasons(CONFIG_BNSD, False) == []
+    # Armed faults and hart hooks are no reason.
+    fast, _, cosim = _run_tapped(CONFIG_BNSD, fault="control_flow_wdata",
+                                 trigger=100)
+    assert fast.mismatch is not None
+    assert fast.stats.capture_fallbacks == ()
+    assert cosim._capture is not None
 
 
 # ----------------------------------------------------------------------

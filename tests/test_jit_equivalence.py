@@ -22,7 +22,9 @@ Coverage map:
 * trap boundaries: blocks never contain trap-capable instructions and
   ecall-heavy runs stay identical;
 * snapshot/restore and sliced-run byte-identity with the JIT enabled;
-* fault-injection runs forced to the interpreted DUT path;
+* fault-injection runs: compiled DUT stepping wherever the armed
+  latch cannot fire, identical up to and across the trigger (a dense
+  sweep of triggers around a probe fault's horizon);
 * the store hazard: a DUT block never carries a store behind another
   instruction, so refills and store-buffer flushes read the memory line
   the interpreter reads (wide-commit groups, whole workloads);
@@ -501,7 +503,7 @@ class TestSnapshotAndSlicing:
 
 
 # ----------------------------------------------------------------------
-# Fault injection is pinned to the interpreted path
+# Fault injection: compiled wherever the armed latch cannot fire
 # ----------------------------------------------------------------------
 
 class TestFaultInjection:
@@ -510,8 +512,8 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("fault,trigger", CASES,
                              ids=[name for name, _ in CASES])
-    def test_faulted_run_identity_and_forced_interpretation(self, fault,
-                                                            trigger):
+    def test_faulted_run_identity_and_compiled_before_trigger(self, fault,
+                                                              trigger):
         workload = build("memory_churn", array_kb=8, passes=1)
         off, on, sim = run_pair(workload.image, max_cycles=4500,
                                 fault=fault, trigger=trigger)
@@ -521,11 +523,11 @@ class TestFaultInjection:
         assert off.summarize().debug_report_text == \
             on.summarize().debug_report_text
         assert_identical(off, on)
-        # The armed fault latch pins the DUT core to the interpreter:
-        # the compiled tier must never execute a faulty core's stream.
+        # An armed latch no longer pins the DUT core to the interpreter:
+        # the cycles that end below its trigger run compiled.
         dut_cache = sim.dut.cores[0].jit
-        assert dut_cache.stats.hits == 0
-        assert dut_cache.stats.steps == 0
+        assert dut_cache.stats.hits > 0
+        assert dut_cache.stats.steps > 0
 
     def test_xiangshan_fault_identity(self):
         workload = build("memory_churn", array_kb=8, passes=1)
@@ -533,6 +535,78 @@ class TestFaultInjection:
                               dut=XIANGSHAN_DEFAULT,
                               fault="control_flow_wdata", trigger=400)
         assert_identical(off, on)
+
+    def test_probe_fault_dense_triggers_around_the_horizon(self):
+        """A probe fault reads the post-block ``instret``, so a compiled
+        block that ends exactly at the trigger would corrupt the wrong
+        refill: every trigger in a dense range must match the
+        interpreter (a ``<=`` horizon bound fails seven of these)."""
+        workload = build("memory_churn", array_kb=8, passes=1)
+        diverged = []
+        for trigger in range(380, 420):
+            try:
+                off, on, sim = run_pair(workload.image, max_cycles=6000,
+                                        dut=XIANGSHAN_DEFAULT,
+                                        fault="cache_line_corruption",
+                                        trigger=trigger)
+                assert_identical(off, on)
+            except AssertionError:
+                diverged.append(trigger)
+                continue
+            assert off.mismatch is not None, trigger
+            assert sim.dut.cores[0].jit.stats.hits > 0
+        assert diverged == []
+
+    @pytest.mark.parametrize("fault,program,triggers", [
+        ("store_queue_mismatch", ("memory_churn", {"array_kb": 8,
+                                                   "passes": 1}),
+         (300, 381, 400)),
+        ("wrong_exception_cause", ("exception_stress", {}),
+         (160, 260, 300)),
+    ], ids=["hart_hook", "trap"])
+    def test_hook_fault_triggers(self, fault, program, triggers):
+        """Hart-hook and trap faults see the pre-step ``instret``: the
+        same horizon gate, identical mismatch and debug report."""
+        name, kwargs = program
+        built = build(name, **kwargs)
+        for trigger in triggers:
+            off, on, sim = run_pair(built.image, max_cycles=6000,
+                                    dut=XIANGSHAN_DEFAULT, fault=fault,
+                                    trigger=trigger,
+                                    uart_input=built.uart_input)
+            assert off.mismatch is not None, trigger
+            assert off.summarize().debug_report_text == \
+                on.summarize().debug_report_text
+            assert_identical(off, on)
+            assert sim.dut.cores[0].jit.stats.hits > 0
+
+
+class TestLatchHorizon:
+    """``quiet(instret, n)``: the window ``[instret, instret + n]`` lies
+    strictly below the next index the latch can fire at, or wholly
+    above the index it fired at."""
+
+    @pytest.mark.parametrize("name", ["store_queue_mismatch",
+                                      "wrong_exception_cause"])
+    def test_quiet_before_and_after_firing(self, name):
+        core = CoSimulation(NUTSHELL, CONFIG_BNSD,
+                            assemble("_start:\n    ebreak")).dut.cores[0]
+        fault_by_name(name).install(core, 100)
+        latch = core._fault_latch
+        assert latch.trigger == 100 and latch.fire_at is None
+        assert latch.quiet(90, 9)
+        assert not latch.quiet(90, 10)  # the window ends at the trigger
+        assert not latch.quiet(150, 1)  # unfired: any index >= trigger
+        if name == "store_queue_mismatch":
+            assert latch.fires(120)
+        else:
+            core.hart.instret = 120
+            core.hart.hooks.on_trap(2, 0)
+        assert latch.fire_at == 120
+        assert latch.quiet(110, 9)  # re-execution after a restore
+        assert not latch.quiet(110, 10)
+        assert not latch.quiet(120, 0)
+        assert latch.quiet(121, 6)
 
 
 # ----------------------------------------------------------------------

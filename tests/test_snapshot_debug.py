@@ -120,8 +120,9 @@ class TestSnapshotCoSimulation:
         # The Fig. 10 cost numbers for this program and DUT seed.
         assert (costs.snapshots_taken, costs.restore_bytes,
                 costs.rerun_cycles, costs.rerun_events) == (3, 14848, 36, 152)
-        # The run goes through capture selection like any other.
-        assert result.stats.capture_fallbacks == ("faults",)
+        # The run goes through capture selection like any other, and an
+        # armed fault is no reason to leave straight-to-wire capture.
+        assert result.stats.capture_fallbacks == ()
 
     def test_replay_avoids_dut_reexecution(self):
         """The head-to-head of Figure 10: Replay reprocesses buffered
